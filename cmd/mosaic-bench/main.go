@@ -40,7 +40,6 @@ func main() {
 		chart    = flag.Bool("chart", false, "also draw each experiment as an ASCII bar chart (text format only)")
 		verbose  = flag.Bool("v", false, "print one line per simulation run")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
-		shards   = flag.Int("shards", 0, "shard each simulation's cycle loop across this many concurrent per-SM shards (composes with -jobs; output is identical for every value; 0/1 = sequential)")
 		snapWarm = flag.Uint64("snapshot-warmup", 0, "amortize the TLB sweeps (figs 14/15): run each (workload, policy) warmup prefix of this many cycles once and fork it per cell (0 = off; changes sweep digests)")
 		snapCold = flag.Bool("snapshot-cold", false, "with -snapshot-warmup: run each cell's two-phase plan cold instead of forking (the determinism/benchmark comparison arm)")
 		format   = flag.String("format", "text", "output format: text | json | csv")
@@ -64,7 +63,6 @@ func main() {
 		h = mosaic.NewQuickHarness(cfg)
 	}
 	h.Jobs = *jobs
-	h.Shards = *shards
 	h.SweepWarmup = *snapWarm
 	h.SweepColdstart = *snapCold
 	if *verbose {

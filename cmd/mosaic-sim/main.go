@@ -47,7 +47,6 @@ func main() {
 		fragOcc   = flag.Float64("frag-occupancy", 0.5, "pre-fragmented frame occupancy [0,1]")
 		dealloc   = flag.Float64("dealloc", 0, "fraction of a scratch buffer freed mid-run (exercises CAC)")
 		snapWarm  = flag.Uint64("snapshot-warmup", 0, "run as a two-phase plan: warm up to this cycle, quiesce, then measure (0 = single-phase; changes the config digest)")
-		shards    = flag.Int("shards", 0, "run the cycle loop sharded across this many concurrent per-SM shards (results are byte-identical at every value; 0/1 = sequential)")
 		traceOut  = flag.String("trace", "", "write a JSON event trace to this file (local runs only)")
 		recordOut = flag.String("record", "", "write the runs' structured records as a JSON report to this file (see docs/RESULTS_SCHEMA.md)")
 		storeDir  = flag.String("record-store", "", "also file each run's record into the result store rooted at this directory, under the same key a mosaicd would use (local runs only; prewarms a fleet's shared store)")
@@ -91,7 +90,6 @@ func main() {
 			DeallocFraction:      *dealloc,
 			Oversub:              *oversub,
 			SnapshotWarmupCycles: *snapWarm,
-			Shards:               *shards,
 			TimeoutMS:            timeout.Milliseconds(),
 		}
 		var recs []mosaic.RunRecord
@@ -184,7 +182,6 @@ func main() {
 			DeallocFraction: *dealloc,
 			TraceLimit:      traceLimit,
 			SnapshotWarmup:  *snapWarm,
-			Shards:          *shards,
 		})
 		if err != nil {
 			fatal(err)

@@ -44,7 +44,6 @@ func main() {
 		nopaging  = flag.Bool("nopaging", false, "disable demand paging")
 		listDims  = flag.Bool("dims", false, "list sweepable dimensions and exit")
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
-		shards    = flag.Int("shards", 0, "shard each simulation's cycle loop across this many concurrent per-SM shards (composes with -jobs; output is identical for every value; 0/1 = sequential)")
 		snapWarm  = flag.Uint64("snapshot-warmup", 0, "amortize warmup across cells: run each policy's warmup prefix of this many cycles once, snapshot it, and fork it per swept value (TLB dimensions only; 0 = off; changes the config digests)")
 		snapCold  = flag.Bool("snapshot-cold", false, "with -snapshot-warmup: run each cell's two-phase plan cold instead of forking the shared snapshot; output must be byte-identical to the forked run (the determinism comparison arm)")
 		serverURL = flag.String("server", "", "submit the grid as one campaign to this mosaicd or coordinator URL instead of simulating locally (see docs/SERVICE.md)")
@@ -119,14 +118,14 @@ func main() {
 			os.Exit(1)
 		}
 		recs = runCampaign(*serverURL, mosaic.CampaignRequest{
-			Base:     mosaic.RunRequest{Apps: appNames, Seed: *seed, NoPaging: *nopaging, Shards: *shards},
+			Base:     mosaic.RunRequest{Apps: appNames, Seed: *seed, NoPaging: *nopaging},
 			Policies: wireNames,
 			Dim:      *dim,
 			Values:   vals,
 		})
 	} else {
 		recs = runLocal(d, wl, pols, vals, localOptions{
-			seed: *seed, nopaging: *nopaging, jobs: *jobs, shards: *shards,
+			seed: *seed, nopaging: *nopaging, jobs: *jobs,
 			warmup: *snapWarm, cold: *snapCold, dimName: *dim,
 		})
 	}
@@ -226,7 +225,6 @@ type localOptions struct {
 	seed     int64
 	nopaging bool
 	jobs     int
-	shards   int
 	warmup   uint64
 	cold     bool
 	dimName  string
@@ -283,7 +281,7 @@ func runLocal(d harness.SweepDim, wl mosaic.Workload, pols []mosaic.Policy, vals
 			pi := pi
 			r.Submit(func() {
 				s, err := mosaic.NewSimulator(baseCfg, wl,
-					mosaic.SimOptions{Policy: pols[pi], Seed: opt.seed, SnapshotWarmup: warmup, Shards: opt.shards})
+					mosaic.SimOptions{Policy: pols[pi], Seed: opt.seed, SnapshotWarmup: warmup})
 				if err == nil {
 					err = s.RunWarmup()
 				}
@@ -313,7 +311,7 @@ func runLocal(d harness.SweepDim, wl mosaic.Workload, pols []mosaic.Policy, vals
 					s = snaps[i%len(pols)].Fork()
 				} else {
 					s, err = mosaic.NewSimulator(baseCfg, wl,
-						mosaic.SimOptions{Policy: pol, Seed: opt.seed, SnapshotWarmup: warmup, Shards: opt.shards})
+						mosaic.SimOptions{Policy: pol, Seed: opt.seed, SnapshotWarmup: warmup})
 					if err == nil {
 						err = s.RunWarmup()
 					}
@@ -328,7 +326,7 @@ func runLocal(d harness.SweepDim, wl mosaic.Workload, pols []mosaic.Policy, vals
 				cells[i] = cell{res: res, err: err}
 				return
 			}
-			res, err := mosaic.Run(cellCfg(v), wl, mosaic.SimOptions{Policy: pol, Seed: opt.seed, Shards: opt.shards})
+			res, err := mosaic.Run(cellCfg(v), wl, mosaic.SimOptions{Policy: pol, Seed: opt.seed})
 			cells[i] = cell{res: res, err: err}
 		})
 	}

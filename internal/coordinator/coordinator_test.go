@@ -359,6 +359,35 @@ func TestFleetCancel(t *testing.T) {
 	}
 }
 
+// TestFleetCampaignDeprecatedShards: a campaign whose Base still carries
+// the deprecated Shards field decodes at the coordinator and its
+// workers, and its cell is the same result as the campaign without it.
+func TestFleetCampaignDeprecatedShards(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	f := startFleet(t, 1, store.NewMem(), nil)
+
+	grid := server.CampaignRequest{
+		Base:     server.RunRequest{Apps: []string{"SCP"}, Seed: 7, Shards: 4},
+		Policies: []string{"mosaic"},
+	}
+	withShards, err := f.client.RunCampaign(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAllDone(t, withShards)
+
+	grid.Base.Shards = 0
+	plain, err := f.client.RunCampaign(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAllDone(t, plain)
+	if !plain[0].Cached || !bytes.Equal(plain[0].Result, withShards[0].Result) {
+		t.Errorf("campaign without Shards: cached=%v, identical bytes=%v; want a cache hit on the same result",
+			plain[0].Cached, bytes.Equal(plain[0].Result, withShards[0].Result))
+	}
+}
+
 // TestCoordinatorAPIErrors pins the coordinator's error surface: plan
 // validation 400s, unknown campaigns 404, and single-run endpoints
 // explicitly unimplemented.

@@ -88,7 +88,7 @@ func TestPagerResidentHitAllocFree(t *testing.T) {
 // TestLRUResidencyCloneOrder pins the Clone contract third-party
 // policies must honor: the clone preserves the source's exact victim
 // order over remapped entries (the snapshot-fork byte-identity
-// requirement from docs/ARCHITECTURE.md §7).
+// requirement from docs/ARCHITECTURE.md §6).
 func TestLRUResidencyCloneOrder(t *testing.T) {
 	res := NewLRUResidency()
 	entries := make([]*PageEntry, 4)

@@ -2,8 +2,8 @@
 // policy pipeline: it replays the pinned RunRecord fixtures (the mixed
 // and oversubscribed workloads recorded before the policy seams existed)
 // through the registry-dispatched policies across the full
-// {policy × oversub × shards × snapshot-fork × jobs} matrix and fails on
-// the first non-identical byte. The fixtures under
+// {policy × oversub × snapshot-fork × jobs} matrix and fails on the
+// first non-identical byte. The fixtures under
 // internal/metrics/testdata are the ground truth; this package must
 // never regenerate them — a diff here means the policy refactor (or a
 // later policy change) altered simulation behavior.

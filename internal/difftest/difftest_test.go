@@ -2,15 +2,19 @@ package difftest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/policies/fifoevict"
+	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -69,34 +73,79 @@ func fifoGolden(t *testing.T) []byte {
 }
 
 // TestDifferentialMatrix replays every pinned fixture through the
-// registry-dispatched policies at shard counts 1 and 4 and demands the
-// RunRecord bytes match the pre-refactor goldens exactly. This is the
-// headline proof that extracting the policy seams changed nothing: same
-// schedule, same counters, same digest, byte for byte.
+// registry-dispatched policies and demands the RunRecord bytes match the
+// pre-refactor goldens exactly. This is the headline proof that
+// extracting the policy seams changed nothing: same schedule, same
+// counters, same digest, byte for byte. Its shards=1 and shards=4
+// subtests check that a request carrying the deprecated Shards field
+// (the values older clients sent) still maps to that golden.
 func TestDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
 	}
 	for _, fx := range MetricsFixtures() {
-		want := metricsGolden(t, fx.Slug)
-		for _, shards := range []int{1, 4} {
-			fx, shards := fx, shards
-			t.Run(fx.Slug+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				t.Parallel()
-				cfg, wl, err := fx.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("registry-dispatched %s (shards=%d) is not byte-identical to the pinned golden;\n"+
-						"the policy pipeline no longer reproduces pre-refactor behavior.\ngot:\n%s", fx.Slug, shards, got)
-				}
-			})
-		}
+		fx, want := fx, metricsGolden(t, fx.Slug)
+		t.Run(fx.Slug, func(t *testing.T) {
+			t.Parallel()
+			cfg, wl, err := fx.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("registry-dispatched %s is not byte-identical to the pinned golden;\n"+
+					"the policy pipeline no longer reproduces pre-refactor behavior.\ngot:\n%s", fx.Slug, got)
+			}
+			for _, shards := range []int{1, 4} {
+				shards := shards
+				t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
+					checkLegacyShards(t, fx, want, shards)
+				})
+			}
+		})
+	}
+}
+
+// checkLegacyShards pins wire compatibility for the removed sharded
+// cycle loop against a fixture's golden: the fixture submitted as a
+// RunRequest that still carries the deprecated Shards value resolves
+// to the golden's policy and ConfigDigest — the store identity its
+// result is filed under — and to the same key as the request without
+// Shards, so an older client is answered with the golden's bytes.
+func checkLegacyShards(t *testing.T, fx Fixture, golden []byte, shards int) {
+	t.Helper()
+	var rec struct{ Policy, ConfigDigest string }
+	if err := json.Unmarshal(golden, &rec); err != nil {
+		t.Fatal(err)
+	}
+	spec, ok := core.LookupPolicy(fx.Policy)
+	if !ok {
+		t.Fatalf("policy %v is not registered", fx.Policy)
+	}
+	base := func() config.Config {
+		cfg := config.FastTest()
+		cfg.MaxWarpInstructions = fx.MaxWarpInstructions
+		return cfg
+	}
+	req := server.RunRequest{Apps: fx.Apps, Policy: spec.Wire, Seed: Seed, Oversub: fx.Oversub}
+	plain, err := server.StoreKey(base, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Shards = shards
+	legacy, err := server.StoreKey(base, req)
+	if err != nil {
+		t.Fatalf("request with Shards=%d rejected: %v", shards, err)
+	}
+	if legacy != plain {
+		t.Errorf("Shards=%d changes the store key: %+v, want %+v", shards, legacy, plain)
+	}
+	if legacy.Policy != rec.Policy || legacy.ConfigDigest != rec.ConfigDigest {
+		t.Errorf("Shards=%d resolves to policy %q digest %s, want the golden's %q %s",
+			shards, legacy.Policy, legacy.ConfigDigest, rec.Policy, rec.ConfigDigest)
 	}
 }
 
@@ -182,10 +231,10 @@ func TestSnapshotForkDifferential(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyDiffers pins the out-of-tree policy's own golden (at
-// shards 1 and 4) and proves it is a genuinely different manager: its
-// record must differ from Mosaic's on the identical workload, and its
-// digest identity must be distinct.
+// TestFIFOPolicyDiffers pins the out-of-tree policy's own golden and
+// proves it is a genuinely different manager: its record must differ
+// from Mosaic's on the identical workload, and its digest identity must
+// be distinct.
 func TestFIFOPolicyDiffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
@@ -196,14 +245,12 @@ func TestFIFOPolicyDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("FIFO-MMU record (shards=%d) deviates from its golden:\n%s", shards, got)
-		}
+	got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("FIFO-MMU record deviates from its golden:\n%s", got)
 	}
 	if mosaicGolden := metricsGolden(t, "oversub-2x-mosaic"); bytes.Equal(want, mosaicGolden) {
 		t.Error("FIFO-MMU record is identical to Mosaic's: the residency seam is not being dispatched")

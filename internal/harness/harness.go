@@ -63,15 +63,6 @@ type Harness struct {
 	// (with a Progress warning) and run plain. Zero (the default) keeps
 	// the pre-existing single-phase sweep behavior and digests.
 	SweepWarmup uint64
-	// Shards, when above 1, runs every simulation's cycle loop sharded
-	// across this many concurrent per-SM shards (sim.Options.Shards).
-	// Sharding composes with Jobs — Jobs parallelizes across
-	// simulations, Shards within one — and changes no output: results
-	// and rendered tables are byte-identical at every (Jobs, Shards)
-	// combination. Prefer Jobs for wide grids (perfect scaling across
-	// independent runs) and Shards when a few large runs must finish
-	// sooner; their product should not exceed the machine's cores.
-	Shards int
 	// SweepColdstart forces SweepWarmup-mode sweeps to run each cell's
 	// two-phase plan from scratch instead of forking the shared snapshot —
 	// the comparison arm for validating fork determinism and for
@@ -192,7 +183,7 @@ func (h *Harness) run(wl workload.Workload, policy core.Policy, mutate func(*con
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	opt := sim.Options{Policy: policy, Seed: h.Seed, Shards: h.Shards}
+	opt := sim.Options{Policy: policy, Seed: h.Seed}
 	if simMut != nil {
 		simMut(&opt)
 	}
@@ -250,7 +241,7 @@ func (h *Harness) mustRun(wl workload.Workload, policy core.Policy, mutate func(
 // sweep family under the base configuration and freezes it for forking.
 // Like mustRun, failures panic: the harness constructs its own plans.
 func (h *Harness) warmupSnapshot(policy core.Policy, wl workload.Workload) *sim.Snapshot {
-	s, err := sim.New(h.Cfg, wl, sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup, Shards: h.Shards})
+	s, err := sim.New(h.Cfg, wl, sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup})
 	if err == nil {
 		err = s.RunWarmup()
 	}
@@ -277,7 +268,7 @@ func (h *Harness) twoPhaseRun(snap *sim.Snapshot, policy core.Policy, wl workloa
 		s = snap.Fork()
 	} else {
 		var err error
-		s, err = sim.New(h.Cfg, wl, sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup, Shards: h.Shards})
+		s, err = sim.New(h.Cfg, wl, sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup})
 		if err == nil {
 			err = s.RunWarmup()
 		}

@@ -5,9 +5,9 @@
 // — touches never reorder the victim queue. Linking this package (a
 // blank import does it) registers the policy; it then works everywhere a
 // built-in manager does: mosaic-sim/mosaic-sweep -policy fifo-mmu,
-// RunRequest.Policy "fifo-mmu", campaigns, snapshot forks, and sharded
-// runs. Its distinct display name gives its runs a distinct ConfigDigest
-// identity automatically.
+// RunRequest.Policy "fifo-mmu", campaigns, and snapshot forks. Its
+// distinct display name gives its runs a distinct ConfigDigest identity
+// automatically.
 package fifoevict
 
 import (

@@ -136,6 +136,8 @@ func buildJob(base func() config.Config, req RunRequest) (*job, error) {
 		return nil, fmt.Errorf("%d apps exceed %d SMs", len(wl.Apps), cfg.NumSMs)
 	}
 
+	// Shards is deprecated and otherwise ignored, but it is still
+	// outside input: reject what was always rejected.
 	if req.Shards < 0 {
 		return nil, fmt.Errorf("shards must be non-negative")
 	}
@@ -146,10 +148,7 @@ func buildJob(base func() config.Config, req RunRequest) (*job, error) {
 		FragOccupancy:   req.FragOccupancy,
 		DeallocFraction: req.DeallocFraction,
 		SnapshotWarmup:  req.SnapshotWarmupCycles,
-		Shards:          req.Shards,
 	}
-	// sim.Digest ignores Shards (results are byte-identical at every
-	// shard count), so the cache key below dedupes across shard counts.
 	digest := sim.Digest(cfg, simOpt)
 	return &job{
 		req:    req,

@@ -261,6 +261,48 @@ func TestSingleFlightDedupe(t *testing.T) {
 	}
 }
 
+// TestDeprecatedShardsIgnored pins wire compatibility for the removed
+// sharded cycle loop: a request that still carries Shards decodes, and
+// it shares one job key and one cache entry with the same request
+// without it.
+func TestDeprecatedShardsIgnored(t *testing.T) {
+	_, ts, release, execs := newStubServer(t, Options{Workers: 1, QueueSize: 2})
+
+	req := RunRequest{Apps: []string{"SCP"}, Policy: "mosaic", Seed: 7}
+	withShards := req
+	withShards.Shards = 4
+	plain, err := buildJob(config.FastTest, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := buildJob(config.FastTest, withShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.key != sharded.key {
+		t.Fatalf("job key varies with Shards: %q vs %q", sharded.key, plain.key)
+	}
+
+	code1, st1, _ := postRun(t, ts, req)
+	if code1 != http.StatusAccepted {
+		t.Fatalf("plain submission: HTTP %d", code1)
+	}
+	close(release)
+	waitState(t, ts, st1.ID, JobDone)
+
+	code2, st2, body := postRun(t, ts, withShards)
+	if code2 != http.StatusOK || !st2.Cached || st2.ID != st1.ID || st2.ConfigDigest != st1.ConfigDigest {
+		t.Fatalf("submission with Shards=4: HTTP %d %+v (%s), want a cache hit on job %s", code2, st2, body, st1.ID)
+	}
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("%d executions, want 1", got)
+	}
+	_, metricsBody := getJSON(t, ts.URL+"/metrics")
+	if !strings.Contains(metricsBody, "mosaicd_cache_hits_total 1") {
+		t.Errorf("/metrics lacks one cache hit:\n%s", metricsBody)
+	}
+}
+
 // TestGracefulShutdown pins the drain contract: in-flight jobs finish,
 // new submissions are rejected, health flips to 503.
 func TestGracefulShutdown(t *testing.T) {
@@ -341,6 +383,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown policy", `{"Apps":["SCP"],"Policy":"magic"}`},
 		{"bad frag", `{"Apps":["SCP"],"FragIndex":1.5}`},
 		{"unknown field", `{"Apps":["SCP"],"Bogus":1}`},
+		{"negative shards", `{"Apps":["SCP"],"Shards":-1}`},
 		{"too many apps", `{"Apps":[` + strings.Repeat(`"SCP",`, 99) + `"SCP"]}`},
 	}
 	for _, tc := range cases {

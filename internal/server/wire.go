@@ -42,13 +42,11 @@ type RunRequest struct {
 	// 0 (the default) runs single-phase, exactly as before the field
 	// existed.
 	SnapshotWarmupCycles uint64 `json:",omitempty"`
-	// Shards, when above 1, runs the simulation's cycle loop sharded
-	// across that many concurrent per-SM shards (sim.Options.Shards).
-	// Sharding changes wall-clock time only — the output is
-	// byte-identical at every value — so Shards, like TimeoutMS, is not
-	// part of the job's cache identity: two requests differing only in
-	// Shards deduplicate onto one job and one stored result. Clamped to
-	// the machine's SM count; 0 (the default) runs sequentially.
+	// Deprecated: Shards once selected a sharded cycle loop, which has
+	// been removed. The field stays so requests from older clients that
+	// still send it decode (the wire decoders reject unknown fields);
+	// a negative value is still rejected, any other value is ignored,
+	// and it is not part of the job's cache identity.
 	Shards int `json:",omitempty"`
 	// TimeoutMS bounds the job's whole life — queue wait plus run — in
 	// milliseconds; on expiry the job fails with "job deadline

@@ -61,17 +61,6 @@ type Options struct {
 	// Zero leaves the digest and the run plan exactly as they were before
 	// the knob existed.
 	SnapshotWarmup uint64
-	// Shards, when above 1, splits the cycle loop's per-SM issue phase
-	// across this many concurrently stepping shards (clamped to the SM
-	// count; see shard.go). Sharding changes wall-clock time only: every
-	// action that touches the shared memory system is replayed by the
-	// coordinator in SM-index order — exactly the order the sequential
-	// loop produces — so results are byte-identical at every shard count.
-	// Shards is therefore an execution knob, not an experiment knob, and
-	// is deliberately excluded from the ConfigDigest: runs differing only
-	// in Shards share one cache/store identity because they share one
-	// output.
-	Shards int
 }
 
 type warpState uint8
@@ -593,13 +582,8 @@ func (s *Simulator) schedulePoll(at uint64) {
 // runUntil drives the main loop while applications remain live and the
 // cycle counter is below bound. It is the single authoritative loop body
 // — Run and RunWarmup both use it, so warmed-up prefixes execute exactly
-// the instructions a full run's first cycles would. With Options.Shards
-// above 1 the same loop runs in its sharded form (see shard.go), which
-// produces byte-identical results.
+// the instructions a full run's first cycles would.
 func (s *Simulator) runUntil(bound uint64) error {
-	if n := s.effectiveShards(); n > 1 {
-		return s.runSharded(n, bound)
-	}
 	for s.liveApps > 0 && s.cycle < bound {
 		s.q.RunDue(s.cycle)
 
@@ -623,25 +607,10 @@ func (s *Simulator) runUntil(bound uint64) error {
 	return nil
 }
 
-// effectiveShards resolves Options.Shards against the machine: values
-// below 2 (and single-SM machines) select the plain sequential loop,
-// values above the SM count clamp to one SM per shard.
-func (s *Simulator) effectiveShards() int {
-	n := s.opt.Shards
-	if n > len(s.sms) {
-		n = len(s.sms)
-	}
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
 // fastForward advances the clock across an idle stretch to the earliest
 // of the next queued event, the end of a GPU-wide stall, or the next
-// warp wake-up. The sequential and sharded loops share it verbatim, so
-// their cycle trajectories cannot drift. Nothing to advance to while
-// applications remain live is a deadlock.
+// warp wake-up. Nothing to advance to while applications remain live
+// is a deadlock.
 func (s *Simulator) fastForward() error {
 	var target uint64
 	found := false
@@ -752,6 +721,10 @@ func (s *Simulator) issueSM(m *sm) bool {
 	s.issueWarp(m, m.warps[idx])
 	return true
 }
+
+// maxLanes is the widest memory burst a warp issues in one instruction
+// (issueWarp's lane buffer size).
+const maxLanes = 8
 
 func (s *Simulator) issueWarp(m *sm, w *warp) {
 	if w.computeLeft > 0 {
