@@ -29,6 +29,8 @@ import (
 
 	mosaic "repro"
 	"repro/internal/cliutil"
+	"repro/internal/config"
+	"repro/internal/server"
 
 	// Linking a policy package registers it; FIFO-MMU is the out-of-tree
 	// proof policy, selectable as -policy fifo-mmu.
@@ -65,9 +67,27 @@ func main() {
 		return
 	}
 
-	policies, err := parsePolicies(*policy)
+	policies, err := mosaic.ParsePolicyList(*policy)
 	if err != nil {
 		fatal(err)
+	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must be non-negative"))
+	}
+	// One request carries every run option: -server sends it as is, and
+	// a local run resolves it through server.Resolve exactly as mosaicd
+	// would, so both modes run, print and file the same simulation.
+	req := mosaic.RunRequest{
+		Apps:                 strings.Split(*apps, ","),
+		Seed:                 *seed,
+		Scale:                *scale,
+		NoPaging:             *nopaging,
+		FragIndex:            *frag,
+		FragOccupancy:        *fragOcc,
+		DeallocFraction:      *dealloc,
+		Oversub:              *oversub,
+		SnapshotWarmupCycles: *snapWarm,
+		TimeoutMS:            timeout.Milliseconds(),
 	}
 
 	if *serverURL != "" {
@@ -77,26 +97,11 @@ func main() {
 		if *storeDir != "" {
 			fatal(fmt.Errorf("-record-store is local-only: with -server the service persists results into its own store"))
 		}
-		if *timeout < 0 {
-			fatal(fmt.Errorf("-timeout must be non-negative"))
-		}
-		base := mosaic.RunRequest{
-			Apps:                 strings.Split(*apps, ","),
-			Seed:                 *seed,
-			Scale:                *scale,
-			NoPaging:             *nopaging,
-			FragIndex:            *frag,
-			FragOccupancy:        *fragOcc,
-			DeallocFraction:      *dealloc,
-			Oversub:              *oversub,
-			SnapshotWarmupCycles: *snapWarm,
-			TimeoutMS:            timeout.Milliseconds(),
-		}
 		var recs []mosaic.RunRecord
 		client := mosaic.NewServiceClient(*serverURL)
 		if len(policies) == 1 {
-			base.Policy = policies[0].name
-			rep, err := client.Run(context.Background(), base)
+			req.Policy = policies[0].Wire
+			rep, err := client.Run(context.Background(), req)
 			if err != nil {
 				fatal(err)
 			}
@@ -105,13 +110,13 @@ func main() {
 			// Several policies are one campaign over the policy axis:
 			// the service plans and runs the cells, the event stream
 			// returns them in grid (= policy) order, so the printed
-			// reports come back in the same order the loop above ran.
+			// reports come back in the same order a local run prints.
 			names := make([]string, len(policies))
 			for i, p := range policies {
-				names[i] = p.name
+				names[i] = p.Wire
 			}
 			events, err := client.RunCampaign(context.Background(),
-				mosaic.CampaignRequest{Base: base, Policies: names})
+				mosaic.CampaignRequest{Base: req, Policies: names})
 			if err != nil {
 				fatal(err)
 			}
@@ -135,74 +140,30 @@ func main() {
 
 	var resultStore *mosaic.DiskStore
 	if *storeDir != "" {
-		var err error
 		if resultStore, err = mosaic.NewDiskStore(*storeDir); err != nil {
 			fatal(err)
 		}
 	}
-
-	cfg := mosaic.EvalConfig()
-	if *scale > 0 {
-		cfg.WorkloadScale = *scale
-	}
-	if *nopaging {
-		cfg.IOBusEnabled = false
-	}
-
-	var specs []mosaic.AppSpec
-	for _, name := range strings.Split(*apps, ",") {
-		s, err := mosaic.AppByName(strings.TrimSpace(name))
-		if err != nil {
-			fatal(err)
-		}
-		specs = append(specs, s)
-	}
-	wl := mosaic.Workload{Name: *apps, Apps: specs}
-	if *oversub < 0 {
-		fatal(fmt.Errorf("-oversub must be non-negative"))
-	}
-	if *oversub > 0 {
-		cfg.MaxResidentPages = mosaic.ResidentBudget(cfg, wl, *oversub)
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
-		}
-	}
-
-	traceLimit := 0
-	if *traceOut != "" {
-		traceLimit = 1 << 20
-	}
 	var recs []mosaic.RunRecord
 	for _, p := range policies {
-		res, err := mosaic.Run(cfg, wl, mosaic.SimOptions{
-			Policy:          p.policy,
-			Seed:            *seed,
-			FragIndex:       *frag,
-			FragOccupancy:   *fragOcc,
-			DeallocFraction: *dealloc,
-			TraceLimit:      traceLimit,
-			SnapshotWarmup:  *snapWarm,
-		})
+		req.Policy = p.Wire
+		plan, err := server.Resolve(config.Eval, req)
 		if err != nil {
 			fatal(err)
 		}
-		report(res)
+		opt := plan.Options
+		if *traceOut != "" {
+			opt.TraceLimit = 1 << 20 // digest-exempt: tracing never changes a result
+		}
+		res, err := mosaic.Run(plan.Config, plan.Workload, opt)
+		if err != nil {
+			fatal(err)
+		}
 		rec := mosaic.NewRunRecord(res)
+		reportRecord(rec)
 		recs = append(recs, rec)
 		if resultStore != nil {
-			req := mosaic.RunRequest{
-				Apps:                 strings.Split(*apps, ","),
-				Policy:               p.name,
-				Seed:                 *seed,
-				Scale:                *scale,
-				NoPaging:             *nopaging,
-				FragIndex:            *frag,
-				FragOccupancy:        *fragOcc,
-				DeallocFraction:      *dealloc,
-				Oversub:              *oversub,
-				SnapshotWarmupCycles: *snapWarm,
-			}
-			if err := fileRecord(resultStore, req, rec); err != nil {
+			if err := fileRecord(resultStore, plan.Key, rec); err != nil {
 				fatal(err)
 			}
 		}
@@ -223,16 +184,12 @@ func collectRecords(rep mosaic.Report, recs []mosaic.RunRecord) []mosaic.RunReco
 	return recs
 }
 
-// fileRecord puts one run's record into the result store under the key
-// a daemon would compute for the equivalent service request, so the
+// fileRecord puts one run's record into the result store under its
+// plan's key — the key a daemon files the same request under — so the
 // store can later serve that request without re-simulating. A duplicate
 // write of identical bytes is a no-op; divergent bytes are an error the
 // store refuses (and quarantines), surfaced here.
-func fileRecord(st *mosaic.DiskStore, req mosaic.RunRequest, rec mosaic.RunRecord) error {
-	key, err := mosaic.RunStoreKey(req)
-	if err != nil {
-		return fmt.Errorf("record-store: resolving key: %w", err)
-	}
+func fileRecord(st *mosaic.DiskStore, key mosaic.ResultKey, rec mosaic.RunRecord) error {
 	payload, err := mosaic.RunRecordPayload(rec)
 	if err != nil {
 		return fmt.Errorf("record-store: encoding record: %w", err)
@@ -290,43 +247,8 @@ func writeTrace(path string, res mosaic.Results) error {
 	return nil
 }
 
-// namedPolicy pairs a manager with its wire/flag name, so local runs and
-// -server submissions derive from the same parse.
-type namedPolicy struct {
-	name   string
-	policy mosaic.Policy
-}
-
-// parsePolicies resolves the -policy flag through the shared registry
-// parser, so this CLI accepts every registered policy (including ones
-// linked in from outside internal/core) without its own name list.
-func parsePolicies(s string) ([]namedPolicy, error) {
-	parsed, err := mosaic.ParsePolicyList(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]namedPolicy, len(parsed))
-	for i, p := range parsed {
-		out[i] = namedPolicy{name: p.Wire, policy: p.Policy}
-	}
-	return out, nil
-}
-
-func report(r mosaic.Results) {
-	fmt.Printf("=== %s on %s ===\n", r.Policy, r.Workload)
-	fmt.Printf("cycles: %d   total IPC: %.3f\n", r.Cycles, r.TotalIPC())
-	for i, a := range r.Apps {
-		fmt.Printf("  app %d %-6s  IPC %.3f  instrs %d  finish @%d  bloat %.1f%%  (%s)\n",
-			i+1, a.Name, a.IPC, a.Instructions, a.FinishCycle, a.BloatPct, appStatus(a.Completed))
-	}
-	fmt.Printf("TLB: L1 %.1f%%  L2 %.1f%%  | walks %d (avg %.0f cyc)  walk faults %d\n",
-		r.L1TLBHitRate()*100, r.L2TLBHitRate()*100,
-		r.Walker.Walks, r.Walker.AvgLatency(), r.TranslationFaults)
-	printCommonTail(r.Manager, r.Bus, r.DRAM)
-}
-
-// reportRecord prints a fetched RunRecord in the same shape as a local
-// run's report, so -server output reads identically.
+// reportRecord prints one run's record; local runs and -server fetches
+// both print through it, so their output is identical.
 func reportRecord(r mosaic.RunRecord) {
 	fmt.Printf("=== %s on %s ===\n", r.Policy, r.Workload)
 	fmt.Printf("cycles: %d   total IPC: %.3f\n", r.Cycles, r.TotalIPC)
@@ -337,17 +259,7 @@ func reportRecord(r mosaic.RunRecord) {
 	fmt.Printf("TLB: L1 %.1f%%  L2 %.1f%%  | walks %d (avg %.0f cyc)  walk faults %d\n",
 		r.L1TLBHitRate*100, r.L2TLBHitRate*100,
 		r.Walker.Walks, r.Walker.AvgLatency(), r.TranslationFaults)
-	printCommonTail(r.Manager, r.Bus, r.DRAM)
-}
-
-func appStatus(completed bool) string {
-	if completed {
-		return "completed"
-	}
-	return "TIMED OUT"
-}
-
-func printCommonTail(m mosaic.ManagerStats, b mosaic.BusStats, d mosaic.DRAMStats) {
+	m, b, d := r.Manager, r.Bus, r.DRAM
 	fmt.Printf("manager: coalesces %d  splinters %d  compactions %d  migrated %d  far-faults %d\n",
 		m.Coalesces, m.Splinters, m.Compactions, m.MigratedPages, m.FarFaults)
 	if m.Evictions > 0 || m.Refaults > 0 {
@@ -358,6 +270,13 @@ func printCommonTail(m mosaic.ManagerStats, b mosaic.BusStats, d mosaic.DRAMStat
 		b.BaseTransfers, b.LargeTransfers, b.BusyCycles, b.TotalQueueDelay)
 	fmt.Printf("DRAM: accesses %d  row hits %.1f%%\n\n",
 		d.Accesses, pct(d.RowHits, d.Accesses))
+}
+
+func appStatus(completed bool) string {
+	if completed {
+		return "completed"
+	}
+	return "TIMED OUT"
 }
 
 func pct(a, b uint64) float64 {

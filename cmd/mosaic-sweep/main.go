@@ -26,8 +26,11 @@ import (
 
 	mosaic "repro"
 	"repro/internal/cliutil"
+	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/server"
+	"repro/internal/sim"
 
 	// Linking a policy package registers it; FIFO-MMU is the out-of-tree
 	// proof policy, selectable via -policies fifo-mmu.
@@ -69,19 +72,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	var specs []mosaic.AppSpec
-	var appNames []string
-	for _, name := range strings.Split(*apps, ",") {
-		s, err := mosaic.AppByName(strings.TrimSpace(name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		specs = append(specs, s)
-		appNames = append(appNames, strings.TrimSpace(name))
-	}
-	wl := mosaic.Workload{Name: *apps, Apps: specs}
-
 	// The registry parser accepts every linked-in policy, so a manager
 	// registered outside internal/core sweeps like a built-in.
 	parsed, err := mosaic.ParsePolicyList(*policies)
@@ -89,10 +79,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var pols []mosaic.Policy
 	var polNames, wireNames []string
 	for _, p := range parsed {
-		pols = append(pols, p.Policy)
 		polNames = append(polNames, p.Policy.String())
 		wireNames = append(wireNames, p.Wire)
 	}
@@ -108,26 +96,30 @@ func main() {
 		vals[i] = v
 	}
 
-	// Each cell resolves to one RunRecord; recs is in grid order
-	// (value-major, the campaign cell order) whether the grid ran here
-	// or on a fleet, so every output format is byte-identical either way.
+	// The grid is one campaign request whether it runs here or on a
+	// fleet: a local sweep plans it with the daemon's PlanCampaign, so
+	// both resolve every cell through server.Resolve. Each cell yields
+	// one RunRecord, in grid order (value-major), so every output format
+	// is byte-identical either way.
+	creq := mosaic.CampaignRequest{
+		Base:     mosaic.RunRequest{Apps: strings.Split(*apps, ","), Seed: *seed, NoPaging: *nopaging},
+		Policies: wireNames,
+		Dim:      *dim,
+		Values:   vals,
+	}
 	var recs []metrics.RunRecord
 	if *serverURL != "" {
 		if *snapWarm > 0 || *snapCold {
 			fmt.Fprintln(os.Stderr, "-snapshot-warmup/-snapshot-cold are local-only: a campaign's cells are single-phase runs (the fleet's store amortizes repeat cells instead)")
 			os.Exit(1)
 		}
-		recs = runCampaign(*serverURL, mosaic.CampaignRequest{
-			Base:     mosaic.RunRequest{Apps: appNames, Seed: *seed, NoPaging: *nopaging},
-			Policies: wireNames,
-			Dim:      *dim,
-			Values:   vals,
-		})
+		recs = runCampaign(*serverURL, creq)
 	} else {
-		recs = runLocal(d, wl, pols, vals, localOptions{
-			seed: *seed, nopaging: *nopaging, jobs: *jobs,
-			warmup: *snapWarm, cold: *snapCold, dimName: *dim,
-		})
+		recs, err = runLocal(creq, d, *jobs, *snapWarm, *snapCold)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	tbl := metrics.Table{
@@ -137,8 +129,8 @@ func main() {
 	var runs []metrics.RunRecord
 	for vi, vs := range valStrs {
 		row := []float64{}
-		for pi := range pols {
-			rec := recs[vi*len(pols)+pi]
+		for pi := range polNames {
+			rec := recs[vi*len(polNames)+pi]
 			row = append(row, rec.TotalIPC)
 			rec.Workload = fmt.Sprintf("%s=%s/%s", *dim, vs, rec.Workload)
 			runs = append(runs, rec)
@@ -220,126 +212,89 @@ func runCampaign(url string, req mosaic.CampaignRequest) []metrics.RunRecord {
 	return recs
 }
 
-// localOptions carries the local-execution knobs of the sweep.
-type localOptions struct {
-	seed     int64
-	nopaging bool
-	jobs     int
-	warmup   uint64
-	cold     bool
-	dimName  string
-}
-
-// runLocal runs the whole value x policy grid on a worker pool and
+// runLocal runs the campaign's grid here on a pool of jobs workers and
 // returns the per-cell records in grid order, so the output matches a
-// sequential run for every -jobs value. In snapshot-warmup mode a first
-// round runs one warmup prefix per policy; the grid round then forks
-// each cell from its policy's snapshot (or, with -snapshot-cold,
-// re-runs the two-phase plan from scratch — byte-identical output).
-func runLocal(d harness.SweepDim, wl mosaic.Workload, pols []mosaic.Policy, vals []int, opt localOptions) []metrics.RunRecord {
-	// The base configuration is the shared prefix of every cell; cellCfg
-	// materializes one swept value on top of it via the shared dimension
-	// registry — the same mutation a campaign cell applies server-side.
-	baseCfg := mosaic.EvalConfig()
-	if opt.nopaging {
-		baseCfg.IOBusEnabled = false
+// sequential run for every jobs value. With warmup > 0 (and every cell
+// differing from the base request only in TLB knobs) each cell runs as
+// a two-phase plan warmed under the resolved base: forked from one
+// warmed snapshot per policy, or cold — byte-identical output.
+func runLocal(creq mosaic.CampaignRequest, d harness.SweepDim, jobs int, warmup uint64, cold bool) ([]metrics.RunRecord, error) {
+	cells, err := server.PlanCampaign(config.Eval, creq)
+	if err != nil {
+		return nil, err
 	}
-	cellCfg := func(v int) mosaic.Config {
-		cfg := baseCfg
-		harness.ApplySweepDim(&cfg, wl, d, v)
-		return cfg
-	}
-
-	// Snapshot-warmup mode applies only when every cell differs from the
-	// base configuration in reconfigurable (TLB) knobs alone — otherwise
-	// the cells share no warmup prefix and the flag is ignored.
-	warmup := opt.warmup
+	nPol := len(creq.Policies)
+	var base server.Plan
 	if warmup > 0 {
+		if base, err = server.Resolve(config.Eval, creq.Base); err != nil {
+			return nil, err
+		}
 		eligible := d.Apply != nil
-		for _, v := range vals {
-			if eligible && !mosaic.CanReconfigure(baseCfg, cellCfg(v)) {
-				eligible = false
-			}
+		for _, c := range cells {
+			eligible = eligible && mosaic.CanReconfigure(base.Config, c.Config)
 		}
 		if !eligible {
-			fmt.Fprintf(os.Stderr, "-snapshot-warmup ignored: dimension %q changes non-TLB knobs\n", opt.dimName)
+			fmt.Fprintf(os.Stderr, "-snapshot-warmup ignored: dimension %q changes non-TLB knobs\n", creq.Dim)
 			warmup = 0
 		}
 	}
-
-	type cell struct {
-		res mosaic.Results
-		err error
+	// twoPhase is a cell's plan with the warmup prefix turned on.
+	twoPhase := func(c server.PlannedCell) mosaic.SimOptions {
+		opt := c.Options
+		opt.SnapshotWarmup = warmup
+		return opt
 	}
-	cells := make([]cell, len(vals)*len(pols))
-	r := mosaic.NewRunner(opt.jobs)
+
+	r := mosaic.NewRunner(jobs)
+	defer r.Close()
+	errs := make([]error, len(cells))
 	var snaps []*mosaic.SimSnapshot
-	if warmup > 0 && !opt.cold {
-		snaps = make([]*mosaic.SimSnapshot, len(pols))
-		warmErrs := make([]error, len(pols))
-		for pi := range pols {
+	if warmup > 0 && !cold {
+		// Row 0 holds one cell per policy; its options are every row's.
+		snaps = make([]*mosaic.SimSnapshot, nPol)
+		for pi := range snaps {
 			pi := pi
 			r.Submit(func() {
-				s, err := mosaic.NewSimulator(baseCfg, wl,
-					mosaic.SimOptions{Policy: pols[pi], Seed: opt.seed, SnapshotWarmup: warmup})
-				if err == nil {
-					err = s.RunWarmup()
-				}
-				if err == nil {
-					snaps[pi], err = s.Snapshot()
-				}
-				warmErrs[pi] = err
+				snaps[pi], errs[pi] = sim.WarmSnapshot(base.Config, base.Workload, twoPhase(cells[pi]))
 			})
 		}
 		r.Wait()
-		for _, err := range warmErrs {
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if err := firstErr(errs); err != nil {
+			return nil, err
 		}
 	}
-	for i := range cells {
-		i := i
+	results := make([]mosaic.Results, len(cells))
+	for i, c := range cells {
+		i, c := i, c
 		r.Submit(func() {
-			v := vals[i/len(pols)]
-			pol := pols[i%len(pols)]
-			if warmup > 0 {
-				var s *mosaic.Simulator
-				var err error
-				if snaps != nil {
-					s = snaps[i%len(pols)].Fork()
-				} else {
-					s, err = mosaic.NewSimulator(baseCfg, wl,
-						mosaic.SimOptions{Policy: pol, Seed: opt.seed, SnapshotWarmup: warmup})
-					if err == nil {
-						err = s.RunWarmup()
-					}
-				}
-				if err == nil {
-					err = s.Reconfigure(cellCfg(v))
-				}
-				var res mosaic.Results
-				if err == nil {
-					res, err = s.Run()
-				}
-				cells[i] = cell{res: res, err: err}
+			if warmup == 0 {
+				results[i], errs[i] = mosaic.Run(c.Config, c.Workload, c.Options)
 				return
 			}
-			res, err := mosaic.Run(cellCfg(v), wl, mosaic.SimOptions{Policy: pol, Seed: opt.seed})
-			cells[i] = cell{res: res, err: err}
+			var snap *mosaic.SimSnapshot
+			if snaps != nil {
+				snap = snaps[i%nPol]
+			}
+			results[i], errs[i] = sim.RunTwoPhase(snap, base.Config, c.Workload, twoPhase(c), c.Config)
 		})
 	}
 	r.Wait()
-	r.Close()
-
-	recs := make([]metrics.RunRecord, len(cells))
-	for i, c := range cells {
-		if c.err != nil {
-			fmt.Fprintln(os.Stderr, c.err)
-			os.Exit(1)
-		}
-		recs[i] = metrics.NewRunRecord(c.res)
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
-	return recs
+	recs := make([]metrics.RunRecord, len(cells))
+	for i, res := range results {
+		recs[i] = metrics.NewRunRecord(res)
+	}
+	return recs, nil
+}
+
+// firstErr returns the first non-nil error in grid order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

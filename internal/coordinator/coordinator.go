@@ -227,6 +227,10 @@ func (co *Coordinator) handleCampaignSubmit(w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
+	if err := server.CheckCampaignBound(req); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	cells, err := server.PlanCampaign(co.opt.BaseConfig, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -286,7 +290,7 @@ func (co *Coordinator) runCampaign(log *server.CampaignLog, cells []server.Plann
 // two laps; a transport failure marks the worker dead and requeues the
 // cell on the next candidate.
 func (co *Coordinator) runCell(log *server.CampaignLog, cell server.PlannedCell) {
-	cands := co.ring.candidates(cell.Workload + "\x00" + cell.Policy + "\x00" + cell.ConfigDigest)
+	cands := co.ring.candidates(cell.Key.Workload + "\x00" + cell.Key.Policy + "\x00" + cell.Key.ConfigDigest)
 	var lastErr error
 	for lap := 0; lap < 2; lap++ {
 		for _, pass := range []bool{true, false} { // alive candidates first, then dead last-resorts

@@ -402,6 +402,15 @@ func TestCoordinatorAPIErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Errorf("unknown policy: %v, want HTTP 400", err)
 	}
+	_, err = f.client.SubmitCampaign(context.Background(), server.CampaignRequest{
+		Base:     server.RunRequest{Apps: []string{"SCP"}},
+		Policies: []string{"ideal"},
+		Dim:      "l1base",
+		Values:   make([]int, 4097),
+	})
+	if err == nil || !strings.Contains(err.Error(), "campaign bound") {
+		t.Errorf("4097-cell campaign: %v, want the cell-bound 400", err)
+	}
 
 	if _, err := f.client.CampaignStatus(context.Background(), "c999999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown campaign: %v, want 404", err)

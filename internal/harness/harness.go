@@ -195,15 +195,20 @@ func (h *Harness) run(wl workload.Workload, policy core.Policy, mutate func(*con
 	if err != nil {
 		return sim.Results{}, err
 	}
+	h.record(r)
+	return r, nil
+}
+
+// record feeds one completed simulation to Collect and Progress.
+func (h *Harness) record(r sim.Results) {
 	if h.Collect != nil {
 		h.Collect.Add(r)
 	}
 	if h.Progress != nil {
 		h.progressMu.Lock()
-		fmt.Fprintf(h.Progress, "ran %-24s %-12s %9d cycles\n", wl.Name, r.Policy, r.Cycles)
+		fmt.Fprintf(h.Progress, "ran %-24s %-12s %9d cycles\n", r.Workload, r.Policy, r.Cycles)
 		h.progressMu.Unlock()
 	}
-	return r, nil
 }
 
 // CollectFigure runs one experiment body under a fresh collector and
@@ -237,60 +242,32 @@ func (h *Harness) mustRun(wl workload.Workload, policy core.Policy, mutate func(
 	return r
 }
 
+// twoPhaseOptions is the plan of a SweepWarmup-mode sweep family.
+func (h *Harness) twoPhaseOptions(policy core.Policy) sim.Options {
+	return sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup}
+}
+
 // warmupSnapshot runs the shared warmup prefix of one (policy, workload)
 // sweep family under the base configuration and freezes it for forking.
 // Like mustRun, failures panic: the harness constructs its own plans.
 func (h *Harness) warmupSnapshot(policy core.Policy, wl workload.Workload) *sim.Snapshot {
-	s, err := sim.New(h.Cfg, wl, sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup})
-	if err == nil {
-		err = s.RunWarmup()
-	}
-	var snap *sim.Snapshot
-	if err == nil {
-		snap, err = s.Snapshot()
-	}
+	snap, err := sim.WarmSnapshot(h.Cfg, wl, h.twoPhaseOptions(policy))
 	if err != nil {
 		panic(fmt.Sprintf("harness: warmup %s/%v: %v", wl.Name, policy, err))
 	}
 	return snap
 }
 
-// twoPhaseRun executes one sweep cell of a SweepWarmup-mode sweep:
-// warmup under the base configuration, then the cell configuration via
-// sim.Reconfigure, then the measured remainder. With snap non-nil the
-// warmup is inherited by forking; with snap nil the whole plan runs
-// cold. Both paths produce byte-identical Results (the fork-vs-cold
-// contract of internal/sim), and both feed Collect and Progress exactly
-// like run does.
+// twoPhaseRun executes one sweep cell of a SweepWarmup-mode sweep via
+// sim.RunTwoPhase — forked from snap, or cold when snap is nil, with
+// byte-identical Results either way — and feeds Collect and Progress
+// exactly like run does.
 func (h *Harness) twoPhaseRun(snap *sim.Snapshot, policy core.Policy, wl workload.Workload, cell config.Config) sim.Results {
-	var s *sim.Simulator
-	if snap != nil {
-		s = snap.Fork()
-	} else {
-		var err error
-		s, err = sim.New(h.Cfg, wl, sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup})
-		if err == nil {
-			err = s.RunWarmup()
-		}
-		if err != nil {
-			panic(fmt.Sprintf("harness: cold warmup %s/%v: %v", wl.Name, policy, err))
-		}
-	}
-	if err := s.Reconfigure(cell); err != nil {
-		panic(fmt.Sprintf("harness: reconfigure %s/%v: %v", wl.Name, policy, err))
-	}
-	r, err := s.Run()
+	r, err := sim.RunTwoPhase(snap, h.Cfg, wl, h.twoPhaseOptions(policy), cell)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %s/%v: %v", wl.Name, policy, err))
 	}
-	if h.Collect != nil {
-		h.Collect.Add(r)
-	}
-	if h.Progress != nil {
-		h.progressMu.Lock()
-		fmt.Fprintf(h.Progress, "ran %-24s %-12s %9d cycles\n", wl.Name, r.Policy, r.Cycles)
-		h.progressMu.Unlock()
-	}
+	h.record(r)
 	return r
 }
 

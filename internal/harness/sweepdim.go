@@ -9,10 +9,10 @@ import (
 )
 
 // SweepDim is one sweepable hardware dimension — a named configuration
-// knob a sweep varies across a grid of values. The registry is shared
-// by cmd/mosaic-sweep's local grids and the mosaicd campaign API, so a
-// remote cell and a local cell of the same (dim, value) mutate the
-// configuration identically and land on the same ConfigDigest.
+// knob a sweep varies across a grid of values. server.Resolve applies
+// it to every sweep-cell request, local (mosaic-sweep) or remote
+// (campaigns), so a cell of the same (dim, value) lands on the same
+// ConfigDigest wherever it runs.
 type SweepDim struct {
 	// Name is the wire and -dim spelling ("l1base", "oversub", ...).
 	Name string
@@ -79,10 +79,9 @@ func SweepDims() []SweepDim {
 
 // ApplySweepDim materializes one swept value on cfg: the dimension's
 // mutation (resolved against wl for workload-dependent dimensions like
-// oversub), then the TLB-way clamp every sweep cell gets. Callers must
-// apply it to the shared base configuration — the exact sequence
-// cmd/mosaic-sweep's cellCfg has always used — so local and remote
-// cells agree on the resulting digest.
+// oversub), then the TLB-way clamp every sweep cell gets. server.Resolve
+// applies it to every sweep-cell request, after the request's other
+// mutations; that order is part of every swept digest.
 func ApplySweepDim(cfg *config.Config, wl workload.Workload, d SweepDim, v int) {
 	if d.Apply != nil {
 		d.Apply(cfg, v)

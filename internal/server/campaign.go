@@ -16,21 +16,27 @@ import (
 // split — a single grid beyond this is almost certainly a client bug.
 const maxCampaignCells = 4096
 
-// PlannedCell is one cell of a campaign grid: its position, the
-// RunRequest that executes it, and the resolved result identity. The
-// identity comes from the same buildJob path that executes requests, so
-// a planned digest always matches the executed one.
+// CheckCampaignBound rejects a campaign whose grid exceeds the
+// per-campaign cell bound. POST /v1/campaigns applies it, on a server
+// and on a coordinator, before planning: the bound guards the service
+// against outside input, so local sweeps that plan with PlanCampaign
+// are not subject to it.
+func CheckCampaignBound(req CampaignRequest) error {
+	n := len(req.Policies) * max(len(req.Values), 1)
+	if n > maxCampaignCells {
+		return fmt.Errorf("%d cells exceed the %d-cell campaign bound; split the sweep", n, maxCampaignCells)
+	}
+	return nil
+}
+
+// PlannedCell is one cell of a campaign grid: its position and its
+// resolved plan. Plan.Req is the single-run request that computes the
+// cell and Plan.Key its result identity — its cache and store address.
 type PlannedCell struct {
 	// Index is the cell's grid position (value-major: value index *
 	// len(policies) + policy index — the mosaic-sweep cell order).
 	Index int
-	// Req is the single-run request that computes this cell.
-	Req RunRequest
-	// Workload/Policy/ConfigDigest are the cell's result identity
-	// triple — its cache and store address.
-	Workload     string
-	Policy       string
-	ConfigDigest string
+	Plan
 }
 
 // Event builds the cell's terminal-event skeleton: identity fields
@@ -38,17 +44,18 @@ type PlannedCell struct {
 func (c PlannedCell) Event(state JobState) CellEvent {
 	return CellEvent{
 		Index:        c.Index,
-		Workload:     c.Workload,
-		Policy:       c.Policy,
-		ConfigDigest: c.ConfigDigest,
+		Workload:     c.Key.Workload,
+		Policy:       c.Key.Policy,
+		ConfigDigest: c.Key.ConfigDigest,
 		DimValue:     c.Req.DimValue,
 		State:        state,
 	}
 }
 
-// PlanCampaign expands a campaign into its cell grid, validating every
-// cell against the base configuration. The coordinator and the server
-// plan with the same function, so they always agree on the grid and its
+// PlanCampaign expands a campaign into its cell grid, resolving every
+// cell with Resolve against the base configuration (nil means
+// config.Eval). mosaicd, the coordinator and mosaic-sweep's local mode
+// all plan with it, so they agree on the grid, its order and its
 // digests.
 func PlanCampaign(base func() config.Config, req CampaignRequest) ([]PlannedCell, error) {
 	if len(req.Policies) == 0 {
@@ -69,9 +76,6 @@ func PlanCampaign(base func() config.Config, req CampaignRequest) ([]PlannedCell
 	} else if len(vals) == 0 {
 		return nil, errors.New("dim without values")
 	}
-	if n := len(vals) * len(req.Policies); n > maxCampaignCells {
-		return nil, fmt.Errorf("%d cells exceed the %d-cell campaign bound; split the sweep", n, maxCampaignCells)
-	}
 
 	cells := make([]PlannedCell, 0, len(vals)*len(req.Policies))
 	for vi, v := range vals {
@@ -81,17 +85,12 @@ func PlanCampaign(base func() config.Config, req CampaignRequest) ([]PlannedCell
 			if req.Dim != "" {
 				r.Dim, r.DimValue = req.Dim, v
 			}
-			j, err := buildJob(base, r)
+			i := vi*len(req.Policies) + pi
+			p, err := Resolve(base, r)
 			if err != nil {
-				return nil, fmt.Errorf("cell %d (%s=%d, policy %s): %w", vi*len(req.Policies)+pi, req.Dim, v, pol, err)
+				return nil, fmt.Errorf("cell %d (%s=%d, policy %s): %w", i, req.Dim, v, pol, err)
 			}
-			cells = append(cells, PlannedCell{
-				Index:        vi*len(req.Policies) + pi,
-				Req:          r,
-				Workload:     j.wl.Name,
-				Policy:       j.policy.String(),
-				ConfigDigest: j.digest,
-			})
+			cells = append(cells, PlannedCell{Index: i, Plan: p})
 		}
 	}
 	return cells, nil
@@ -278,6 +277,10 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
+	if err := CheckCampaignBound(req); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	cells, err := PlanCampaign(s.opt.BaseConfig, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -352,13 +355,10 @@ func (s *Server) runCampaign(c *campaign) {
 // one client; 429-bouncing it against itself would just spin), while
 // still honoring cancellation and drain.
 func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, error) {
-	j, err := s.buildJob(cell.Req)
-	if err != nil {
-		return nil, srcSim, err
-	}
+	j := newJob(cell.Plan)
 
 	s.mu.Lock()
-	if existing, ok := s.cache[j.key]; ok {
+	if existing, ok := s.cache[j.Key]; ok {
 		s.touch(existing)
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
@@ -373,7 +373,7 @@ func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, er
 			s.mu.Unlock()
 			return nil, srcSim, errors.New("server is draining")
 		}
-		if existing, ok := s.cache[j.key]; ok {
+		if existing, ok := s.cache[j.Key]; ok {
 			s.touch(existing)
 			s.mu.Unlock()
 			s.cacheHits.Add(1)
@@ -382,7 +382,7 @@ func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, er
 		s.seq++
 		j.id = fmt.Sprintf("r%06d", s.seq)
 		s.jobs[j.id] = j
-		s.cache[j.key] = j
+		s.cache[j.Key] = j
 		j.lruElem = s.lru.PushFront(j)
 		s.trimLRU()
 		s.mu.Unlock()
@@ -400,7 +400,7 @@ func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, er
 			s.mu.Unlock()
 			return nil, srcSim, errors.New("server is draining")
 		}
-		if existing, ok := s.cache[j.key]; ok {
+		if existing, ok := s.cache[j.Key]; ok {
 			s.touch(existing)
 			s.mu.Unlock()
 			s.cacheHits.Add(1)
@@ -415,7 +415,7 @@ func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, er
 			s.seq++
 			j.id = fmt.Sprintf("r%06d", s.seq)
 			s.jobs[j.id] = j
-			s.cache[j.key] = j
+			s.cache[j.Key] = j
 			s.mu.Unlock()
 			s.cacheMisses.Add(1)
 			s.accepted.Add(1)

@@ -269,6 +269,16 @@ func TestCampaignCancel(t *testing.T) {
 func TestCampaignValidation(t *testing.T) {
 	_, ts, release, _ := newStubServer(t, Options{Workers: 1})
 	close(release)
+	// One cell over the HTTP bound: rejected as outside input, yet a
+	// plannable grid (local sweeps plan it with PlanCampaign).
+	overBound := CampaignRequest{Base: RunRequest{Apps: []string{"SCP"}}, Policies: []string{"ideal"}, Dim: "l1base",
+		Values: make([]int, maxCampaignCells+1)}
+	for i := range overBound.Values {
+		overBound.Values[i] = 16 + i
+	}
+	if _, err := PlanCampaign(config.FastTest, overBound); err != nil {
+		t.Fatalf("PlanCampaign over the HTTP bound: %v", err)
+	}
 	cases := []struct {
 		name string
 		req  CampaignRequest
@@ -281,6 +291,7 @@ func TestCampaignValidation(t *testing.T) {
 		{"unknown dim", CampaignRequest{Base: RunRequest{Apps: []string{"SCP"}}, Policies: []string{"mosaic"}, Dim: "bogus", Values: []int{1}}},
 		{"unknown policy", CampaignRequest{Base: RunRequest{Apps: []string{"SCP"}}, Policies: []string{"vax"}, Dim: "l1base", Values: []int{16}}},
 		{"no apps", CampaignRequest{Policies: []string{"mosaic"}}},
+		{"over the cell bound", overBound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,10 +306,11 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// TestCampaignDigestsMatchSweep pins the remote-cell configuration
-// sequence against mosaic-sweep's literal cellCfg mutations — if the
-// dimension registry drifts from the CLI, campaign cells would silently
-// stop sharing digests (and store entries) with local sweeps.
+// TestCampaignDigestsMatchSweep pins the configuration sequence Resolve
+// applies to a sweep cell against a literal copy of it. Resolve is the
+// single place a request becomes a simulation — mosaic-sweep plans its
+// local grids with PlanCampaign too — so a change here changes every
+// swept digest and orphans every stored sweep cell.
 func TestCampaignDigestsMatchSweep(t *testing.T) {
 	base := config.FastTest
 	cells, err := PlanCampaign(base, CampaignRequest{
@@ -325,10 +337,9 @@ func TestCampaignDigestsMatchSweep(t *testing.T) {
 			}
 			want := sim.Digest(cfg, sim.Options{Policy: pol, Seed: 42})
 			cell := cells[vi*len(pols)+pi]
-			if cell.ConfigDigest != want {
-				t.Errorf("cell %d digest %s, want %s", cell.Index, cell.ConfigDigest, want)
+			if cell.Key.ConfigDigest != want {
+				t.Errorf("cell %d digest %s, want %s", cell.Index, cell.Key.ConfigDigest, want)
 			}
 		}
 	}
 }
-

@@ -1,38 +1,26 @@
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// job is one accepted simulation: the validated request, the resolved
-// setup, and the mutable lifecycle state. A job is also the cache entry
-// for its (workload, policy, digest) key — identical submissions share
-// one job, so the simulation runs once and every fetch serves the same
-// serialized bytes. A job that fails, times out, or is canceled is
-// evicted from the cache, so only completed runs are ever served.
+// job is one accepted simulation: the resolved plan plus the mutable
+// lifecycle state. A job is also the cache entry for its plan's Key —
+// identical submissions share one job, so the simulation runs once and
+// every fetch serves the same serialized bytes. A job that fails, times
+// out, or is canceled is evicted from the cache, so only completed runs
+// are ever served.
 type job struct {
-	id     string
-	req    RunRequest
-	key    string
-	digest string
-	policy core.Policy
-	cfg    config.Config
-	wl     workload.Workload
-	simOpt sim.Options
+	Plan
+	id string
 
 	// ctx bounds the job's whole life (queue wait + run) and cancel
 	// ends it early; both are set by start at acceptance time. Jobs
@@ -51,116 +39,10 @@ type job struct {
 	done   chan struct{}
 }
 
-// ParsePolicy maps a wire policy name (the mosaic-sim -policy values) to
-// the memory manager it selects, resolving against the core policy
-// registry so third-party registered policies are accepted too. Empty
-// selects Mosaic. Unknown names return an error wrapping
-// core.ErrUnknownPolicy.
-func ParsePolicy(name string) (core.Policy, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return core.Mosaic, nil
-	}
-	return core.ParsePolicy(name)
-}
-
-// buildJob resolves a request against the server's base configuration;
-// see the free buildJob for the semantics.
-func (s *Server) buildJob(req RunRequest) (*job, error) {
-	return buildJob(s.opt.BaseConfig, req)
-}
-
-// buildJob validates a request and resolves it into a ready-to-run job:
-// configuration, workload, simulation options, and the digest-based
-// cache key. The returned job is not yet registered or enqueued. It is
-// a free function over the base configuration so campaign planning can
-// digest cells without a server.
-func buildJob(base func() config.Config, req RunRequest) (*job, error) {
-	if len(req.Apps) == 0 {
-		return nil, fmt.Errorf("apps required (see mosaic-sim -list for the suite)")
-	}
-	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("timeoutMS must be non-negative")
-	}
-	specs := make([]workload.Spec, 0, len(req.Apps))
-	names := make([]string, 0, len(req.Apps))
-	for _, name := range req.Apps {
-		spec, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-		names = append(names, spec.Name)
-	}
-	wl := workload.Workload{Name: strings.Join(names, ","), Apps: specs}
-
-	policy, err := ParsePolicy(req.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if bad := func(v float64) bool { return v < 0 || v > 1 }; bad(req.FragIndex) ||
-		bad(req.FragOccupancy) || bad(req.DeallocFraction) {
-		return nil, fmt.Errorf("fragIndex, fragOccupancy, and deallocFraction must be in [0, 1]")
-	}
-
-	cfg := base()
-	if req.Scale > 0 {
-		cfg.WorkloadScale = req.Scale
-	}
-	if req.NoPaging {
-		cfg.IOBusEnabled = false
-	}
-	if req.Oversub < 0 {
-		return nil, fmt.Errorf("oversub must be non-negative")
-	}
-	if req.Oversub > 0 {
-		// Resolved against the scaled workload here so the budget lands in
-		// the config digest — oversubscribed and unbounded runs of the same
-		// workload never share a cache entry.
-		cfg.MaxResidentPages = workload.ResidentBudget(cfg, wl, req.Oversub)
-	}
-	if req.Dim != "" {
-		// A sweep cell: the registered dimension mutation plus the TLB-way
-		// clamp, applied exactly as mosaic-sweep's cellCfg applies them so
-		// the digest matches a local sweep of the same grid.
-		d, err := harness.SweepDimByName(req.Dim)
-		if err != nil {
-			return nil, err
-		}
-		harness.ApplySweepDim(&cfg, wl, d, req.DimValue)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(wl.Apps) > cfg.NumSMs {
-		return nil, fmt.Errorf("%d apps exceed %d SMs", len(wl.Apps), cfg.NumSMs)
-	}
-
-	// Shards is deprecated and otherwise ignored, but it is still
-	// outside input: reject what was always rejected.
-	if req.Shards < 0 {
-		return nil, fmt.Errorf("shards must be non-negative")
-	}
-	simOpt := sim.Options{
-		Policy:          policy,
-		Seed:            req.Seed,
-		FragIndex:       req.FragIndex,
-		FragOccupancy:   req.FragOccupancy,
-		DeallocFraction: req.DeallocFraction,
-		SnapshotWarmup:  req.SnapshotWarmupCycles,
-	}
-	digest := sim.Digest(cfg, simOpt)
-	return &job{
-		req:    req,
-		key:    wl.Name + "\x00" + policy.String() + "\x00" + digest,
-		digest: digest,
-		policy: policy,
-		cfg:    cfg,
-		wl:     wl,
-		simOpt: simOpt,
-		state:  JobQueued,
-		done:   make(chan struct{}),
-	}, nil
+// newJob wraps a resolved plan as a queued job, not yet registered or
+// enqueued.
+func newJob(p Plan) *job {
+	return &job{Plan: p, state: JobQueued, done: make(chan struct{})}
 }
 
 // start arms the job's lifetime context at acceptance: the request's
@@ -169,8 +51,8 @@ func buildJob(base func() config.Config, req RunRequest) (*job, error) {
 // execution, not the simulation's identity.
 func (j *job) start(defaultTimeout time.Duration) {
 	timeout := defaultTimeout
-	if j.req.TimeoutMS > 0 {
-		timeout = time.Duration(j.req.TimeoutMS) * time.Millisecond
+	if j.Req.TimeoutMS > 0 {
+		timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
 	}
 	if timeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
@@ -186,9 +68,9 @@ func (j *job) status(cached bool) JobStatus {
 	return JobStatus{
 		ID:           j.id,
 		State:        j.state,
-		Workload:     j.wl.Name,
-		Policy:       j.policy.String(),
-		ConfigDigest: j.digest,
+		Workload:     j.Key.Workload,
+		Policy:       j.Key.Policy,
+		ConfigDigest: j.Key.ConfigDigest,
 		Cached:       cached,
 		Error:        j.errMsg,
 	}
@@ -319,7 +201,7 @@ func (s *Server) execute(j *job) {
 				ch <- outcome{err: fmt.Errorf("simulation panic: %v", p)}
 			}
 		}()
-		res, err := s.runSim(j.ctx, j.cfg, j.wl, j.simOpt)
+		res, err := s.runSim(j.ctx, j.Config, j.Workload, j.Options)
 		ch <- outcome{res, err}
 	}()
 
@@ -336,19 +218,8 @@ func (s *Server) execute(j *job) {
 	}
 
 	rec := metrics.NewRunRecord(o.res)
-	rep := metrics.Report{
-		SchemaVersion: metrics.SchemaVersion,
-		Generator:     s.opt.Generator,
-		Seed:          j.simOpt.Seed,
-		Apps:          strings.Split(j.wl.Name, ","),
-		Figures: []metrics.Figure{{
-			ID:    "run",
-			Title: j.policy.String() + " on " + j.wl.Name,
-			Runs:  []metrics.RunRecord{rec},
-		}},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	served, err := s.envelope(j, rec)
+	if err != nil {
 		s.finishExecFailure(j, err)
 		return
 	}
@@ -356,7 +227,7 @@ func (s *Server) execute(j *job) {
 	// any result a client has observed is durably stored (the PointResult
 	// fault corrupts only the served bytes, never the stored record).
 	s.putStore(j, rec)
-	result := s.faults.CorruptBytes(PointResult, buf.Bytes())
+	result := s.faults.CorruptBytes(PointResult, served)
 	if j.finish(JobDone, "", result) {
 		s.runsCompleted.Add(1)
 		s.noteDone(j)

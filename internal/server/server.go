@@ -118,7 +118,7 @@ type Server struct {
 	mu          sync.Mutex
 	draining    bool
 	jobs        map[string]*job
-	cache       map[string]*job
+	cache       map[store.Key]*job
 	lru         *list.List // of *job; done jobs only
 	seq         uint64
 	campaigns   map[string]*campaign
@@ -165,19 +165,19 @@ func New(opt Options) *Server {
 		opt.Store = store.NewMem()
 	}
 	s := &Server{
-		opt:      opt,
-		mux:      http.NewServeMux(),
-		runner:   harness.NewRunner(opt.Workers),
-		queue:    make(chan *job, opt.QueueSize),
-		faults:   opt.Faults,
-		store:    opt.Store,
-		cacheCap: opt.CacheEntries,
+		opt:       opt,
+		mux:       http.NewServeMux(),
+		runner:    harness.NewRunner(opt.Workers),
+		queue:     make(chan *job, opt.QueueSize),
+		faults:    opt.Faults,
+		store:     opt.Store,
+		cacheCap:  opt.CacheEntries,
 		jobs:      make(map[string]*job),
-		cache:     make(map[string]*job),
+		cache:     make(map[store.Key]*job),
 		lru:       list.New(),
 		campaigns: make(map[string]*campaign),
-		drained:  make(chan struct{}),
-		workers:  opt.Workers,
+		drained:   make(chan struct{}),
+		workers:   opt.Workers,
 		runSim: func(_ context.Context, cfg config.Config, wl workload.Workload, so sim.Options) (sim.Results, error) {
 			sm, err := sim.New(cfg, wl, so)
 			if err != nil {
@@ -247,11 +247,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
-	j, err := s.buildJob(req)
+	p, err := Resolve(s.opt.BaseConfig, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	j := newJob(p)
 	if err := s.faults.Fire(PointSubmit); err != nil {
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -265,7 +266,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if existing, ok := s.cache[j.key]; ok {
+	if existing, ok := s.cache[j.Key]; ok {
 		s.touch(existing)
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
@@ -285,7 +286,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
 			return
 		}
-		if existing, ok := s.cache[j.key]; ok {
+		if existing, ok := s.cache[j.Key]; ok {
 			s.touch(existing)
 			s.mu.Unlock()
 			s.cacheHits.Add(1)
@@ -295,7 +296,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.seq++
 		j.id = fmt.Sprintf("r%06d", s.seq)
 		s.jobs[j.id] = j
-		s.cache[j.key] = j
+		s.cache[j.Key] = j
 		j.lruElem = s.lru.PushFront(j)
 		s.trimLRU()
 		s.mu.Unlock()
@@ -310,7 +311,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if existing, ok := s.cache[j.key]; ok {
+	if existing, ok := s.cache[j.Key]; ok {
 		s.touch(existing)
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
@@ -323,7 +324,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
-		s.cache[j.key] = j
+		s.cache[j.Key] = j
 		s.mu.Unlock()
 		s.cacheMisses.Add(1)
 		s.accepted.Add(1)
@@ -350,7 +351,7 @@ func (s *Server) touch(j *job) {
 func (s *Server) noteDone(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cache[j.key] != j || j.lruElem != nil {
+	if s.cache[j.Key] != j || j.lruElem != nil {
 		return
 	}
 	j.lruElem = s.lru.PushFront(j)
@@ -370,8 +371,8 @@ func (s *Server) trimLRU() {
 		e := s.lru.Back()
 		old := s.lru.Remove(e).(*job)
 		old.lruElem = nil
-		if s.cache[old.key] == old {
-			delete(s.cache, old.key)
+		if s.cache[old.Key] == old {
+			delete(s.cache, old.Key)
 		}
 		old.dropResult()
 		s.cacheLRUEvictions.Add(1)
@@ -463,8 +464,8 @@ func (s *Server) lookup(id string) *job {
 // resubmissions build a new job instead of inheriting a failed one.
 func (s *Server) evict(j *job) {
 	s.mu.Lock()
-	if s.cache[j.key] == j {
-		delete(s.cache, j.key)
+	if s.cache[j.Key] == j {
+		delete(s.cache, j.Key)
 		s.cacheEvictions.Add(1)
 	}
 	if j.lruElem != nil {

@@ -271,16 +271,16 @@ func TestDeprecatedShardsIgnored(t *testing.T) {
 	req := RunRequest{Apps: []string{"SCP"}, Policy: "mosaic", Seed: 7}
 	withShards := req
 	withShards.Shards = 4
-	plain, err := buildJob(config.FastTest, req)
+	plain, err := Resolve(config.FastTest, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := buildJob(config.FastTest, withShards)
+	sharded, err := Resolve(config.FastTest, withShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.key != sharded.key {
-		t.Fatalf("job key varies with Shards: %q vs %q", sharded.key, plain.key)
+	if plain.Key != sharded.Key {
+		t.Fatalf("job key varies with Shards: %v vs %v", sharded.Key, plain.Key)
 	}
 
 	code1, st1, _ := postRun(t, ts, req)

@@ -19,56 +19,44 @@ import (
 // serve time with exactly the envelope execute builds for a fresh run,
 // so a store hit and a fresh simulation serve identical bytes.
 
-// storeKey is the job's identity triple in store form — the same triple
-// that keys the in-memory cache.
-func (j *job) storeKey() store.Key {
-	return store.Key{Workload: j.wl.Name, Policy: j.policy.String(), ConfigDigest: j.digest}
-}
-
-// recordPayload serializes a run record as a canonical store payload.
-func recordPayload(rec metrics.RunRecord) ([]byte, error) {
-	return json.Marshal(rec)
-}
-
 // StoreKey resolves a request's result-store identity — the (workload,
 // policy, config digest) triple a daemon would file its result under —
-// without executing anything, via the same planning path the service
-// uses. base supplies the starting configuration exactly as
-// Options.BaseConfig does; nil means config.Eval, the service default.
-// It lets CLIs that simulate locally prewarm a store daemons will read.
+// without executing anything: Resolve's Plan.Key. base is as for
+// Resolve (nil means config.Eval, the service default).
 func StoreKey(base func() config.Config, req RunRequest) (store.Key, error) {
-	if base == nil {
-		base = config.Eval
-	}
-	j, err := buildJob(base, req)
-	if err != nil {
-		return store.Key{}, err
-	}
-	return j.storeKey(), nil
+	p, err := Resolve(base, req)
+	return p.Key, err
 }
 
 // RecordPayload serializes one run record exactly as the service
 // persists it, so out-of-band store writers (mosaic-sim -record-store)
 // produce payloads byte-identical to a daemon's own.
 func RecordPayload(rec metrics.RunRecord) ([]byte, error) {
-	return recordPayload(rec)
+	return json.Marshal(rec)
 }
 
 // wrapPayload rebuilds the served Report bytes from a stored RunRecord
-// payload, mirroring execute's envelope field for field.
+// payload through the same envelope execute serves fresh runs in.
 func (s *Server) wrapPayload(j *job, payload []byte) ([]byte, error) {
 	var rec metrics.RunRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return nil, err
 	}
+	return s.envelope(j, rec)
+}
+
+// envelope serializes the Report a job serves: its one run record under
+// the job's seed, workload and the server's Generator. Fresh runs and
+// store hits both go through it, so they serve identical bytes.
+func (s *Server) envelope(j *job, rec metrics.RunRecord) ([]byte, error) {
 	rep := metrics.Report{
 		SchemaVersion: metrics.SchemaVersion,
 		Generator:     s.opt.Generator,
-		Seed:          j.simOpt.Seed,
-		Apps:          strings.Split(j.wl.Name, ","),
+		Seed:          j.Options.Seed,
+		Apps:          strings.Split(j.Key.Workload, ","),
 		Figures: []metrics.Figure{{
 			ID:    "run",
-			Title: j.policy.String() + " on " + j.wl.Name,
+			Title: j.Key.Policy + " on " + j.Key.Workload,
 			Runs:  []metrics.RunRecord{rec},
 		}},
 	}
@@ -84,7 +72,7 @@ func (s *Server) wrapPayload(j *job, payload []byte) ([]byte, error) {
 // that fails to parse — the caller then simulates fresh, which is
 // always safe).
 func (s *Server) tryStore(j *job) []byte {
-	payload, err := s.store.Get(j.storeKey())
+	payload, err := s.store.Get(j.Key)
 	if err != nil {
 		return nil
 	}
@@ -99,12 +87,12 @@ func (s *Server) tryStore(j *job) []byte {
 // counter: the in-memory result still serves this job, the store just
 // won't accelerate the next daemon.
 func (s *Server) putStore(j *job, rec metrics.RunRecord) {
-	payload, err := recordPayload(rec)
+	payload, err := RecordPayload(rec)
 	if err != nil {
 		s.storePutErrors.Add(1)
 		return
 	}
-	if err := s.store.Put(j.storeKey(), payload); err != nil {
+	if err := s.store.Put(j.Key, payload); err != nil {
 		s.storePutErrors.Add(1)
 	}
 }

@@ -6,10 +6,11 @@ package server
 import "encoding/json"
 
 // RunRequest is the body of POST /v1/runs: one simulation to execute.
-// The zero value of every optional field means "the mosaic-sim default"
-// — the server builds the same evaluation configuration the CLI builds
-// locally, so a remote submission and a local run of the same flags
-// produce byte-identical reports.
+// It is also the one run-options surface of the CLIs: mosaic-sim and
+// mosaic-sweep build a RunRequest from their flags, and Resolve is the
+// single place any RunRequest becomes a simulation, so a remote
+// submission and a local run of the same flags produce byte-identical
+// reports. The zero value of every optional field means "the default".
 type RunRequest struct {
 	// Apps is the workload: suite application names, in order (the
 	// order is part of the workload identity). Required.
@@ -56,10 +57,10 @@ type RunRequest struct {
 	TimeoutMS int64 `json:",omitempty"`
 	// Dim/DimValue make the request one cell of a parameter sweep: the
 	// named dimension (the mosaic-sweep -dim registry) is applied at
-	// DimValue on top of every other mutation, then the TLB-way clamp —
-	// exactly the configuration mosaic-sweep builds for that cell, so
-	// the digests (and therefore the cache and store identities) match
-	// a local sweep's. Empty Dim (the default) leaves the configuration
+	// DimValue on top of every other mutation, then the TLB-way clamp.
+	// Local sweeps plan their cells as these requests too, so the
+	// digests (and therefore the cache and store identities) match a
+	// local sweep's. Empty Dim (the default) leaves the configuration
 	// untouched, exactly as before the fields existed.
 	Dim      string `json:",omitempty"`
 	DimValue int    `json:",omitempty"`
@@ -67,10 +68,10 @@ type RunRequest struct {
 
 // CampaignRequest is the body of POST /v1/campaigns: a whole sweep
 // grid — every (value, policy) cell of Base swept along Dim — submitted
-// as one schedulable unit. The server plans the same cell grid
-// mosaic-sweep plans locally (same ordering: cell i is value i/len(P),
-// policy i%len(P)), answers already-known cells from its cache and
-// store, and enqueues only the rest.
+// as one schedulable unit. PlanCampaign expands it (cell i is value
+// i/len(P), policy i%len(P)) for the server, the coordinator and
+// mosaic-sweep's local mode alike; the server answers already-known
+// cells from its cache and store, and enqueues only the rest.
 type CampaignRequest struct {
 	// Base is the request every cell starts from. Its Policy and
 	// Dim/DimValue fields must be empty — the campaign grid supplies

@@ -63,6 +63,27 @@ type Options struct {
 	SnapshotWarmup uint64
 }
 
+// ErrOutOfRange is wrapped by every Options.Validate failure; test with
+// errors.Is.
+var ErrOutOfRange = errors.New("out of range")
+
+// Validate rejects option values no simulation can honor: the §6.4
+// stress fractions (FragIndex, FragOccupancy, DeallocFraction) must lie
+// in [0, 1]. New calls it, so every entry point rejects them with an
+// error wrapping ErrOutOfRange instead of running a nonsense experiment
+// or panicking mid-setup.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"FragIndex", o.FragIndex}, {"FragOccupancy", o.FragOccupancy}, {"DeallocFraction", o.DeallocFraction}} {
+		if !(f.v >= 0 && f.v <= 1) { // NaN fails too
+			return fmt.Errorf("sim: %s %g: %w (want [0, 1])", f.name, f.v, ErrOutOfRange)
+		}
+	}
+	return nil
+}
+
 type warpState uint8
 
 const (
@@ -318,6 +339,9 @@ type Simulator struct {
 // New builds a simulator for the workload under the given policy.
 func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	if len(wl.Apps) == 0 {

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -45,6 +48,33 @@ func TestValidation(t *testing.T) {
 	many := workload.Workload{Apps: make([]workload.Spec, cfg.NumSMs+1)}
 	if _, err := New(cfg, many, Options{}); err == nil {
 		t.Error("more apps than SMs accepted")
+	}
+}
+
+// TestOutOfRangeFractionsRejected pins that New — and so every entry
+// point built on it — rejects each §6.4 stress fraction outside [0, 1]
+// with an error wrapping ErrOutOfRange that names the field, instead of
+// panicking while pre-fragmenting or running a meaningless experiment.
+func TestOutOfRangeFractionsRejected(t *testing.T) {
+	wl := singleApp(t, "SCP")
+	for _, field := range []string{"FragIndex", "FragOccupancy", "DeallocFraction"} {
+		for _, v := range []float64{-0.5, 1.5} {
+			t.Run(fmt.Sprintf("%s=%g", field, v), func(t *testing.T) {
+				opt := Options{Policy: core.Mosaic, FragIndex: 0.5, FragOccupancy: 0.5}
+				switch field {
+				case "FragIndex":
+					opt.FragIndex = v
+				case "FragOccupancy":
+					opt.FragOccupancy = v
+				case "DeallocFraction":
+					opt.DeallocFraction = v
+				}
+				_, err := New(config.FastTest(), wl, opt)
+				if !errors.Is(err, ErrOutOfRange) || !strings.Contains(err.Error(), field) {
+					t.Fatalf("New: %v, want an ErrOutOfRange naming %s", err, field)
+				}
+			})
+		}
 	}
 }
 

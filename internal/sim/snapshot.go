@@ -23,7 +23,47 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/tlb"
+	"repro/internal/workload"
 )
+
+// WarmSnapshot runs the warmup prefix of a two-phase plan
+// (opt.SnapshotWarmup > 0) under base and freezes it for forking: the
+// first half of every snapshot-warmup sweep, shared by the harness's
+// TLB figures and mosaic-sweep.
+func WarmSnapshot(base config.Config, wl workload.Workload, opt Options) (*Snapshot, error) {
+	s, err := New(base, wl, opt)
+	if err == nil {
+		err = s.RunWarmup()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.Snapshot()
+}
+
+// RunTwoPhase runs one cell of a two-phase sweep: the warmup under base
+// (inherited by forking snap, or run cold when snap is nil), then the
+// cell configuration via Reconfigure, then the measured remainder. base,
+// wl and opt must be the plan snap was warmed from; both paths produce
+// byte-identical Results.
+func RunTwoPhase(snap *Snapshot, base config.Config, wl workload.Workload, opt Options, cell config.Config) (Results, error) {
+	var s *Simulator
+	if snap != nil {
+		s = snap.Fork()
+	} else {
+		var err error
+		if s, err = New(base, wl, opt); err == nil {
+			err = s.RunWarmup()
+		}
+		if err != nil {
+			return Results{}, err
+		}
+	}
+	if err := s.Reconfigure(cell); err != nil {
+		return Results{}, err
+	}
+	return s.Run()
+}
 
 // RunWarmup executes the shared warmup prefix: it drives the run plan to
 // (at least) Options.SnapshotWarmup cycles, then quiesces — instruction
