@@ -6,7 +6,7 @@
 // service deduplicates against its digest-keyed cache and result store
 // — the printed results and -record exports are byte-identical either
 // way. With -record-store a local run also files its records into a
-// result store on disk, prewarming the store a daemon fleet reads.
+// result store on disk, prewarming the store a daemon reads.
 //
 // Examples:
 //
@@ -51,7 +51,7 @@ func main() {
 		snapWarm  = flag.Uint64("snapshot-warmup", 0, "run as a two-phase plan: warm up to this cycle, quiesce, then measure (0 = single-phase; changes the config digest)")
 		traceOut  = flag.String("trace", "", "write a JSON event trace to this file (local runs only)")
 		recordOut = flag.String("record", "", "write the runs' structured records as a JSON report to this file (see docs/RESULTS_SCHEMA.md)")
-		storeDir  = flag.String("record-store", "", "also file each run's record into the result store rooted at this directory, under the same key a mosaicd would use (local runs only; prewarms a fleet's shared store)")
+		storeDir  = flag.String("record-store", "", "also file each run's record into the result store rooted at this directory, under the same key a mosaicd would use (local runs only; prewarms a daemon's store)")
 		serverURL = flag.String("server", "", "submit to this mosaicd URL instead of simulating locally (see docs/SERVICE.md)")
 		timeout   = flag.Duration("timeout", 0, "with -server: per-job deadline covering queue wait and run (0 = server default)")
 		list      = flag.Bool("list", false, "list the 27 suite applications and exit")

@@ -2,8 +2,8 @@
 // values and reports each memory manager's throughput — a generalization
 // of the paper's Figure 14/15 sensitivity studies to any knob. With
 // -server the whole grid is submitted as one campaign to a mosaicd
-// worker or coordinator fleet instead of simulating locally; the
-// reassembled output is byte-identical to the local run.
+// instead of simulating locally; the reassembled output is
+// byte-identical to the local run.
 //
 // Examples:
 //
@@ -49,7 +49,7 @@ func main() {
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
 		snapWarm  = flag.Uint64("snapshot-warmup", 0, "amortize warmup across cells: run each policy's warmup prefix of this many cycles once, snapshot it, and fork it per swept value (TLB dimensions only; 0 = off; changes the config digests)")
 		snapCold  = flag.Bool("snapshot-cold", false, "with -snapshot-warmup: run each cell's two-phase plan cold instead of forking the shared snapshot; output must be byte-identical to the forked run (the determinism comparison arm)")
-		serverURL = flag.String("server", "", "submit the grid as one campaign to this mosaicd or coordinator URL instead of simulating locally (see docs/SERVICE.md)")
+		serverURL = flag.String("server", "", "submit the grid as one campaign to this mosaicd URL instead of simulating locally (see docs/SERVICE.md)")
 		format    = flag.String("format", "text", "output format: text | json | csv")
 		outPath   = flag.String("out", "", "write output to this file instead of stdout")
 	)
@@ -97,7 +97,7 @@ func main() {
 	}
 
 	// The grid is one campaign request whether it runs here or on a
-	// fleet: a local sweep plans it with the daemon's PlanCampaign, so
+	// daemon: a local sweep plans it with the daemon's PlanCampaign, so
 	// both resolve every cell through server.Resolve. Each cell yields
 	// one RunRecord, in grid order (value-major), so every output format
 	// is byte-identical either way.
@@ -110,7 +110,7 @@ func main() {
 	var recs []metrics.RunRecord
 	if *serverURL != "" {
 		if *snapWarm > 0 || *snapCold {
-			fmt.Fprintln(os.Stderr, "-snapshot-warmup/-snapshot-cold are local-only: a campaign's cells are single-phase runs (the fleet's store amortizes repeat cells instead)")
+			fmt.Fprintln(os.Stderr, "-snapshot-warmup/-snapshot-cold are local-only: a campaign's cells are single-phase runs (the daemon's store amortizes repeat cells instead)")
 			os.Exit(1)
 		}
 		recs = runCampaign(*serverURL, creq)

@@ -2,17 +2,14 @@
 // bounded job queue, a fixed worker pool, and a digest-keyed result
 // cache that deduplicates identical submissions, optionally backed by a
 // persistent on-disk result store shared across restarts and daemons.
-// With -coordinator it serves no simulations itself and instead fans
-// campaign grids out across a fleet of worker mosaicds, retrying cells
-// off lost workers. See docs/SERVICE.md for the API, cache, store, and
-// fleet semantics.
+// See docs/SERVICE.md for the API, cache, store, and campaign
+// semantics.
 //
 // Examples:
 //
 //	mosaicd                             # :8641, GOMAXPROCS workers
 //	mosaicd -addr :9000 -workers 4 -queue 128
 //	mosaicd -store /var/lib/mosaic/store -cache-entries 256
-//	mosaicd -addr :8640 -coordinator http://127.0.0.1:8641,http://127.0.0.1:8642
 //
 // Submit with mosaic-sim -server, mosaic-sweep -server, or
 // internal/serviceclient:
@@ -37,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/coordinator"
 	"repro/internal/faults"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -82,7 +78,6 @@ func main() {
 		storeDir     = flag.String("store", "", "persist results in the on-disk store rooted at this directory (shared across restarts and daemons; empty = in-memory only)")
 		quarKeep     = flag.Int("store-quarantine-keep", store.DefaultQuarantineKeep, "with -store: keep at most this many quarantined (corrupt) files per shard directory, pruning oldest first (negative = unlimited)")
 		cacheEntries = flag.Int("cache-entries", 0, "bound the in-memory cache of completed results to this many entries, evicting least-recently-served (0 = unbounded)")
-		coordWorkers = flag.String("coordinator", "", "run as a campaign coordinator over this comma-separated list of worker mosaicd URLs instead of simulating (simulation flags are ignored)")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Minute, "max time to finish in-flight runs on shutdown (0 = unbounded)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job deadline covering queue wait and run, overridable per request via timeoutMS (0 = unbounded)")
 		injected     faultFlags
@@ -91,11 +86,6 @@ func main() {
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("mosaicd: ")
-	if *coordWorkers != "" {
-		log.SetPrefix("mosaicd[coordinator]: ")
-		runCoordinator(*addr, *coordWorkers, *drainTimeout)
-		return
-	}
 	if injected.reg != nil {
 		log.Printf("fault injection armed: %s", injected.String())
 	}
@@ -145,61 +135,6 @@ func main() {
 	}
 	if err := svc.Shutdown(ctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
-		hs.Close()
-		os.Exit(1)
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	log.Printf("drained, bye")
-}
-
-// runCoordinator serves the coordinator mode: no local simulation, just
-// campaign fan-out across the given worker URLs. Run requests get 501 —
-// point single runs at a worker directly. SIGINT/SIGTERM stop accepting
-// campaigns and let in-flight ones finish (bounded by drainTimeout).
-func runCoordinator(addr, workerList string, drainTimeout time.Duration) {
-	var urls []string
-	for _, u := range strings.Split(workerList, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	co, err := coordinator.New(coordinator.Options{Workers: urls})
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Addr: addr, Handler: co.Handler()}
-
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s, coordinating %d workers: %s", addr, len(urls), strings.Join(urls, ", "))
-		errc <- hs.ListenAndServe()
-	}()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("received %s, draining (in-flight campaigns finish, new ones get 503)", sig)
-	}
-
-	ctx := context.Background()
-	if drainTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, drainTimeout)
-		defer cancel()
-	}
-	done := make(chan struct{})
-	go func() { co.Drain(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		log.Printf("drain incomplete: campaigns still in flight")
 		hs.Close()
 		os.Exit(1)
 	}

@@ -16,12 +16,11 @@ import (
 // split — a single grid beyond this is almost certainly a client bug.
 const maxCampaignCells = 4096
 
-// CheckCampaignBound rejects a campaign whose grid exceeds the
-// per-campaign cell bound. POST /v1/campaigns applies it, on a server
-// and on a coordinator, before planning: the bound guards the service
-// against outside input, so local sweeps that plan with PlanCampaign
-// are not subject to it.
-func CheckCampaignBound(req CampaignRequest) error {
+// checkCampaignBound rejects a campaign whose grid exceeds the
+// per-campaign cell bound. POST /v1/campaigns applies it before
+// planning: the bound guards the service against outside input, so
+// local sweeps that plan with PlanCampaign are not subject to it.
+func checkCampaignBound(req CampaignRequest) error {
 	n := len(req.Policies) * max(len(req.Values), 1)
 	if n > maxCampaignCells {
 		return fmt.Errorf("%d cells exceed the %d-cell campaign bound; split the sweep", n, maxCampaignCells)
@@ -54,9 +53,8 @@ func (c PlannedCell) Event(state JobState) CellEvent {
 
 // PlanCampaign expands a campaign into its cell grid, resolving every
 // cell with Resolve against the base configuration (nil means
-// config.Eval). mosaicd, the coordinator and mosaic-sweep's local mode
-// all plan with it, so they agree on the grid, its order and its
-// digests.
+// config.Eval). mosaicd and mosaic-sweep's local mode both plan with
+// it, so they agree on the grid, its order and its digests.
 func PlanCampaign(base func() config.Config, req CampaignRequest) ([]PlannedCell, error) {
 	if len(req.Policies) == 0 {
 		return nil, errors.New("policies required")
@@ -96,7 +94,8 @@ func PlanCampaign(base func() config.Config, req CampaignRequest) ([]PlannedCell
 	return cells, nil
 }
 
-// cellSource records how a campaign cell was answered.
+// cellSource records how a campaign cell (or an HTTP submission) was
+// answered.
 type cellSource int
 
 const (
@@ -105,18 +104,16 @@ const (
 	srcStore                   // answered from the persistent store
 )
 
-// CampaignLog is the bookkeeping behind one campaign: its cancellation
-// context, lifecycle counters, and the append-only event log that
-// NDJSON streams replay from. mosaicd's local campaign runner and the
-// coordinator's fleet fan-out share this one implementation, so clients
-// see an identical stream either way: every event from the start on
+// campaign is one accepted sweep grid: its planned cells, its
+// cancellation context, lifecycle counters, and the append-only event
+// log that NDJSON streams replay from — every event from the start on
 // (re)connect, follow-mode until terminal, then a clean close.
-type CampaignLog struct {
+type campaign struct {
 	id    string
-	cells int
+	cells []PlannedCell
 
 	// ctx ends the campaign early; work already in flight is left to
-	// finish (it warms caches and stores either way) — Cancel stops
+	// finish (it warms caches and stores either way) — cancel stops
 	// feeding and unfinished cells are marked canceled by the runner.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -137,11 +134,9 @@ type CampaignLog struct {
 	finished chan struct{}
 }
 
-// NewCampaignLog starts the log for a campaign of the given grid size
-// in the running state.
-func NewCampaignLog(id string, cells int) *CampaignLog {
+func newCampaign(id string, cells []PlannedCell) *campaign {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &CampaignLog{
+	return &campaign{
 		id:       id,
 		cells:    cells,
 		ctx:      ctx,
@@ -152,72 +147,63 @@ func NewCampaignLog(id string, cells int) *CampaignLog {
 	}
 }
 
-// ID returns the campaign's identifier.
-func (l *CampaignLog) ID() string { return l.id }
-
-// Context is done once the campaign is canceled; runners watch it to
-// stop feeding cells.
-func (l *CampaignLog) Context() context.Context { return l.ctx }
-
-// Cancel ends the campaign early. Idempotent.
-func (l *CampaignLog) Cancel() { l.cancel() }
-
-// Note records a cell's terminal event: counters, the event log, and a
-// wakeup for stream followers. Exactly one Note per cell is the
-// runner's contract — the log does not deduplicate.
-func (l *CampaignLog) Note(ev CellEvent, fromCache, fromStore bool) {
-	l.mu.Lock()
+// noteCell records a cell's terminal event: counters (with the cell's
+// source attribution), the event log, and a wakeup for stream
+// followers. Exactly one noteCell per cell is the runner's contract —
+// the log does not deduplicate.
+func (c *campaign) noteCell(ev CellEvent, src cellSource) {
+	c.mu.Lock()
 	switch ev.State {
 	case JobDone:
-		l.done++
+		c.done++
 	case JobFailed:
-		l.failed++
+		c.failed++
 	case JobCanceled:
-		l.canceled++
+		c.canceled++
 	}
-	if fromCache {
-		l.fromCache++
+	switch src {
+	case srcCache:
+		c.fromCache++
+	case srcStore:
+		c.fromStore++
 	}
-	if fromStore {
-		l.fromStore++
-	}
-	l.events = append(l.events, ev)
-	close(l.bump)
-	l.bump = make(chan struct{})
-	l.mu.Unlock()
+	c.events = append(c.events, ev)
+	close(c.bump)
+	c.bump = make(chan struct{})
+	c.mu.Unlock()
 }
 
-// Finish moves the campaign to a terminal state exactly once; later
+// finish moves the campaign to a terminal state exactly once; later
 // calls are no-ops.
-func (l *CampaignLog) Finish(state CampaignState) {
-	l.mu.Lock()
-	if !l.state.Terminal() {
-		l.state = state
-		close(l.finished)
+func (c *campaign) finish(state CampaignState) {
+	c.mu.Lock()
+	if !c.state.Terminal() {
+		c.state = state
+		close(c.finished)
 	}
-	l.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// Status snapshots the campaign for a wire response.
-func (l *CampaignLog) Status() CampaignStatus {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// status snapshots the campaign for a wire response.
+func (c *campaign) status() CampaignStatus {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return CampaignStatus{
-		ID:        l.id,
-		State:     l.state,
-		Cells:     l.cells,
-		Done:      l.done,
-		Failed:    l.failed,
-		Canceled:  l.canceled,
-		FromCache: l.fromCache,
-		FromStore: l.fromStore,
+		ID:        c.id,
+		State:     c.state,
+		Cells:     len(c.cells),
+		Done:      c.done,
+		Failed:    c.failed,
+		Canceled:  c.canceled,
+		FromCache: c.fromCache,
+		FromStore: c.fromStore,
 	}
 }
 
-// ServeStream writes the campaign's NDJSON event stream: every event
+// serveStream writes the campaign's NDJSON event stream: every event
 // from the campaign's start (replay makes reconnects lossless), then
 // follow-mode until the campaign is terminal and fully drained.
-func (l *CampaignLog) ServeStream(w http.ResponseWriter, r *http.Request) {
+func (c *campaign) serveStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -225,11 +211,11 @@ func (l *CampaignLog) ServeStream(w http.ResponseWriter, r *http.Request) {
 
 	sent := 0
 	for {
-		l.mu.Lock()
-		pending := l.events[sent:]
-		bump := l.bump
-		state := l.state
-		l.mu.Unlock()
+		c.mu.Lock()
+		pending := c.events[sent:]
+		bump := c.bump
+		state := c.state
+		c.mu.Unlock()
 		for _, ev := range pending {
 			if err := enc.Encode(ev); err != nil {
 				return // client gone
@@ -244,29 +230,13 @@ func (l *CampaignLog) ServeStream(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-bump:
-		case <-l.finished:
-			// Every event lands before Finish; loop once more to drain,
+		case <-c.finished:
+			// Every event lands before finish; loop once more to drain,
 			// then exit on the terminal re-check.
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-// campaign is one accepted sweep grid on this server: the shared log
-// plus the planned cells the local runner executes.
-type campaign struct {
-	*CampaignLog
-	cells []PlannedCell
-}
-
-func newCampaign(id string, cells []PlannedCell) *campaign {
-	return &campaign{CampaignLog: NewCampaignLog(id, len(cells)), cells: cells}
-}
-
-// noteCell records a cell's terminal event with its source attribution.
-func (c *campaign) noteCell(ev CellEvent, src cellSource) {
-	c.Note(ev, src == srcCache, src == srcStore)
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
@@ -277,7 +247,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
-	if err := CheckCampaignBound(req); err != nil {
+	if err := checkCampaignBound(req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -290,19 +260,19 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, errDraining.Error())
 		return
 	}
 	s.campaignSeq++
 	c := newCampaign(fmt.Sprintf("c%06d", s.campaignSeq), cells)
-	s.campaigns[c.ID()] = c
+	s.campaigns[c.id] = c
 	s.mu.Unlock()
 
 	s.campaignsTotal.Add(1)
 	s.campaignsActive.Add(1)
 	s.campaignCells.Add(uint64(len(cells)))
 	go s.runCampaign(c)
-	writeJSON(w, http.StatusAccepted, c.Status())
+	writeJSON(w, http.StatusAccepted, c.status())
 }
 
 // runCampaign is the campaign's feeder: it submits cells in grid order
@@ -314,22 +284,15 @@ func (s *Server) runCampaign(c *campaign) {
 	defer s.campaignsActive.Add(-1)
 	var wg sync.WaitGroup
 	for _, cell := range c.cells {
-		if c.Context().Err() != nil {
+		if c.ctx.Err() != nil {
 			c.noteCell(cell.Event(JobCanceled), srcSim)
 			continue
 		}
 		j, src, err := s.submitCell(c, cell)
 		if err != nil {
-			state := JobFailed
-			if errors.Is(err, context.Canceled) {
-				state = JobCanceled
-			}
-			ev := cell.Event(state)
-			ev.Error = err.Error()
-			if state == JobCanceled {
-				ev.Error = ""
-			}
-			if state == JobFailed {
+			ev := cell.Event(JobCanceled)
+			if !errors.Is(err, context.Canceled) {
+				ev.State, ev.Error = JobFailed, err.Error()
 				s.campaignCellsFailed.Add(1)
 			}
 			c.noteCell(ev, srcSim)
@@ -342,91 +305,32 @@ func (s *Server) runCampaign(c *campaign) {
 		}(cell, j, src)
 	}
 	wg.Wait()
-	if c.Context().Err() != nil {
-		c.Finish(CampaignCanceled)
-		return
+	state := CampaignDone
+	if c.ctx.Err() != nil {
+		state = CampaignCanceled
 	}
-	c.Finish(CampaignDone)
+	c.finish(state)
 }
 
-// submitCell resolves one cell onto a job: an existing cached job, a
-// store-answered done job, or a freshly enqueued one. Unlike the HTTP
-// submission path it absorbs queue pressure by waiting (a campaign is
-// one client; 429-bouncing it against itself would just spin), while
-// still honoring cancellation and drain.
+// submitCell resolves one cell onto a job through the same admission
+// path as POST /v1/runs: an existing cached job, a store-answered done
+// job, or a freshly enqueued one. Unlike the HTTP path it absorbs
+// queue pressure by retrying (a campaign is one client; 429-bouncing
+// it against itself would just spin) while its campaign is live.
 func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, error) {
 	j := newJob(cell.Plan)
-
-	s.mu.Lock()
-	if existing, ok := s.cache[j.Key]; ok {
-		s.touch(existing)
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		return existing, srcCache, nil
+	if got, src, err := s.answer(j); got != nil || err != nil {
+		return got, src, err
 	}
-	s.mu.Unlock()
-
-	if result := s.tryStore(j); result != nil {
-		j.finish(JobDone, "", result)
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil, srcSim, errors.New("server is draining")
-		}
-		if existing, ok := s.cache[j.Key]; ok {
-			s.touch(existing)
-			s.mu.Unlock()
-			s.cacheHits.Add(1)
-			return existing, srcCache, nil
-		}
-		s.seq++
-		j.id = fmt.Sprintf("r%06d", s.seq)
-		s.jobs[j.id] = j
-		s.cache[j.Key] = j
-		j.lruElem = s.lru.PushFront(j)
-		s.trimLRU()
-		s.mu.Unlock()
-		s.storeServes.Add(1)
-		return j, srcStore, nil
-	}
-
-	started := false
 	for {
-		if err := c.Context().Err(); err != nil {
-			return nil, srcSim, err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil, srcSim, errors.New("server is draining")
-		}
-		if existing, ok := s.cache[j.Key]; ok {
-			s.touch(existing)
-			s.mu.Unlock()
-			s.cacheHits.Add(1)
-			return existing, srcCache, nil
-		}
-		if !started {
-			j.start(s.opt.DefaultTimeout) // before enqueue: the dispatcher reads j.ctx
-			started = true
+		got, src, err := s.enqueue(j)
+		if !errors.Is(err, errQueueFull) {
+			return got, src, err
 		}
 		select {
-		case s.queue <- j:
-			s.seq++
-			j.id = fmt.Sprintf("r%06d", s.seq)
-			s.jobs[j.id] = j
-			s.cache[j.Key] = j
-			s.mu.Unlock()
-			s.cacheMisses.Add(1)
-			s.accepted.Add(1)
-			return j, srcSim, nil
-		default:
-			s.mu.Unlock()
-			select {
-			case <-c.Context().Done():
-				return nil, srcSim, c.Context().Err()
-			case <-time.After(2 * time.Millisecond):
-			}
+		case <-c.ctx.Done():
+			return nil, srcSim, c.ctx.Err()
+		case <-time.After(2 * time.Millisecond):
 		}
 	}
 }
@@ -437,7 +341,7 @@ func (s *Server) submitCell(c *campaign, cell PlannedCell) (*job, cellSource, er
 func (s *Server) awaitCell(c *campaign, cell PlannedCell, j *job, src cellSource) {
 	select {
 	case <-j.done:
-	case <-c.Context().Done():
+	case <-c.ctx.Done():
 		c.noteCell(cell.Event(JobCanceled), src)
 		return
 	}
@@ -486,7 +390,7 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such campaign")
 		return
 	}
-	writeJSON(w, http.StatusOK, c.Status())
+	writeJSON(w, http.StatusOK, c.status())
 }
 
 // handleCampaignCancel stops the campaign: feeding ends, unfinished
@@ -499,17 +403,16 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such campaign")
 		return
 	}
-	c.Cancel()
-	writeJSON(w, http.StatusOK, c.Status())
+	c.cancel()
+	writeJSON(w, http.StatusOK, c.status())
 }
 
-// handleCampaignStream serves the campaign's NDJSON event stream via
-// the shared CampaignLog replay.
+// handleCampaignStream serves the campaign's NDJSON event stream.
 func (s *Server) handleCampaignStream(w http.ResponseWriter, r *http.Request) {
 	c := s.lookupCampaign(r.PathValue("id"))
 	if c == nil {
 		writeError(w, http.StatusNotFound, "no such campaign")
 		return
 	}
-	c.ServeStream(w, r)
+	c.serveStream(w, r)
 }

@@ -2,15 +2,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/testutil"
 )
 
 func postCampaign(t *testing.T, ts *httptest.Server, req CampaignRequest) (int, CampaignStatus, string) {
@@ -150,52 +155,144 @@ func TestCampaignGrid(t *testing.T) {
 	}
 }
 
-// TestCampaignDedup: a resubmitted campaign is answered entirely from
-// the cache — zero new simulations, counted per cell.
+// TestCampaignDedup: campaign cells share HTTP submission's admission
+// path. A resubmitted campaign is answered entirely from the cache; on
+// a full queue, cells wait for space instead of failing, an HTTP
+// submission of a queued cell's key joins that cell's job, and a
+// campaign canceled during the wait marks its cells canceled.
 func TestCampaignDedup(t *testing.T) {
-	_, ts, release, execs := newStubServer(t, Options{Workers: 2})
-	close(release)
+	t.Run("resubmission", func(t *testing.T) {
+		_, ts, release, execs := newStubServer(t, Options{Workers: 2})
+		close(release)
 
-	req := CampaignRequest{
-		Base:     RunRequest{Apps: []string{"SCP"}},
-		Policies: []string{"gpummu", "mosaic"},
-		Dim:      "l1base",
-		Values:   []int{16, 64},
-	}
-	_, st1, _ := postCampaign(t, ts, req)
-	first := streamEvents(t, ts, st1.ID)
-
-	_, st2, _ := postCampaign(t, ts, req)
-	second := streamEvents(t, ts, st2.ID)
-	if len(second) != 4 {
-		t.Fatalf("%d events on resubmission", len(second))
-	}
-	for _, ev := range second {
-		if ev.State != JobDone || !ev.Cached {
-			t.Fatalf("cell %d: state=%s cached=%v", ev.Index, ev.State, ev.Cached)
+		req := CampaignRequest{
+			Base:     RunRequest{Apps: []string{"SCP"}},
+			Policies: []string{"gpummu", "mosaic"},
+			Dim:      "l1base",
+			Values:   []int{16, 64},
 		}
+		_, st1, _ := postCampaign(t, ts, req)
+		first := streamEvents(t, ts, st1.ID)
+
+		_, st2, _ := postCampaign(t, ts, req)
+		second := streamEvents(t, ts, st2.ID)
+		if len(second) != 4 {
+			t.Fatalf("%d events on resubmission", len(second))
+		}
+		for _, ev := range second {
+			if ev.State != JobDone || !ev.Cached {
+				t.Fatalf("cell %d: state=%s cached=%v", ev.Index, ev.State, ev.Cached)
+			}
+		}
+		if execs.Load() != 4 {
+			t.Fatalf("resubmission re-simulated: %d execs", execs.Load())
+		}
+		final := campaignStatus(t, ts, st2.ID)
+		if final.FromCache != 4 || final.FromStore != 0 {
+			t.Fatalf("resubmission sources: %+v", final)
+		}
+		// Byte-identical results cell for cell.
+		byIdx := func(evs []CellEvent) map[int]string {
+			m := make(map[int]string)
+			for _, ev := range evs {
+				m[ev.Index] = string(ev.Result)
+			}
+			return m
+		}
+		f, s := byIdx(first), byIdx(second)
+		for i := 0; i < 4; i++ {
+			if f[i] != s[i] {
+				t.Fatalf("cell %d bytes differ between campaigns", i)
+			}
+		}
+	})
+
+	// fullQueue starts a one-worker, one-slot server whose worker is
+	// held by an unrelated run, and a three-cell campaign whose cells 0
+	// and 1 take the dispatcher's hand-off and the only queue slot, so
+	// cell 2 waits for space.
+	fullQueue := func(t *testing.T) (*Server, *httptest.Server, chan struct{}, *atomic.Int32, string) {
+		s, ts, release, execs := newStubServer(t, Options{Workers: 1, QueueSize: 1, DefaultTimeout: time.Minute})
+		code, blocker, _ := postRun(t, ts, RunRequest{Apps: []string{"SCP"}, Policy: "ideal", Seed: 99})
+		if code != http.StatusAccepted {
+			t.Fatalf("blocker: HTTP %d", code)
+		}
+		waitState(t, ts, blocker.ID, JobRunning)
+		code, st, raw := postCampaign(t, ts, CampaignRequest{
+			Base:     RunRequest{Apps: []string{"SCP"}},
+			Policies: []string{"gpummu", "gpummu-2mb", "mosaic"},
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("campaign: HTTP %d: %s", code, raw)
+		}
+		waitFor(t, func() bool { return s.accepted.Load() == 3 && len(s.queue) == 1 }, "cells 0 and 1 to fill the queue")
+		return s, ts, release, execs, st.ID
 	}
-	if execs.Load() != 4 {
-		t.Fatalf("resubmission re-simulated: %d execs", execs.Load())
-	}
-	final := campaignStatus(t, ts, st2.ID)
-	if final.FromCache != 4 || final.FromStore != 0 {
-		t.Fatalf("resubmission sources: %+v", final)
-	}
-	// Byte-identical results cell for cell.
-	byIdx := func(evs []CellEvent) map[int]string {
-		m := make(map[int]string)
+
+	t.Run("full queue", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		s, ts, release, execs, id := fullQueue(t)
+
+		// Cell 0's key joins its queued job.
+		code, st, raw := postRun(t, ts, RunRequest{Apps: []string{"SCP"}, Policy: "gpummu"})
+		if code != http.StatusOK || !st.Cached || st.ID != "r000002" {
+			t.Fatalf("submit of a queued cell's key: HTTP %d %s, want a cache hit on r000002", code, raw)
+		}
+		// A refused enqueue attempt leaves no live deadline behind.
+		p, err := Resolve(config.FastTest, RunRequest{Apps: []string{"SCP"}, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := newJob(p)
+		if _, _, err := s.enqueue(j); !errors.Is(err, errQueueFull) || j.ctx.Err() == nil {
+			t.Fatalf("enqueue on a full queue: err=%v, job ctx err=%v; want errQueueFull and a released deadline", err, j.ctx.Err())
+		}
+
+		close(release)
+		evs := streamEvents(t, ts, id)
+		if len(evs) != 3 {
+			t.Fatalf("%d events, want 3", len(evs))
+		}
 		for _, ev := range evs {
-			m[ev.Index] = string(ev.Result)
+			if ev.State != JobDone {
+				t.Fatalf("cell %d: state %s (%s), want done after waiting", ev.Index, ev.State, ev.Error)
+			}
 		}
-		return m
-	}
-	f, s := byIdx(first), byIdx(second)
-	for i := 0; i < 4; i++ {
-		if f[i] != s[i] {
-			t.Fatalf("cell %d bytes differ between campaigns", i)
+		if n := execs.Load(); n != 4 {
+			t.Fatalf("%d executions, want 4 (blocker + one per cell)", n)
 		}
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	})
+
+	t.Run("cancel while waiting", func(t *testing.T) {
+		testutil.CheckGoroutines(t)
+		_, ts, _, execs, id := fullQueue(t)
+
+		resp, err := http.Post(ts.URL+"/v1/campaigns/"+id+"/cancel", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		evs := streamEvents(t, ts, id)
+		if len(evs) != 3 {
+			t.Fatalf("%d events after cancel, want 3", len(evs))
+		}
+		for _, ev := range evs {
+			if ev.State != JobCanceled {
+				t.Fatalf("cell %d: state %s after cancel", ev.Index, ev.State)
+			}
+		}
+		if final := campaignStatus(t, ts, id); final.State != CampaignCanceled || final.Canceled != 3 {
+			t.Fatalf("final status: %+v", final)
+		}
+		if n := execs.Load(); n != 1 {
+			t.Fatalf("%d executions while the worker was held, want 1", n)
+		}
+	})
 }
 
 // TestCampaignFromStore: a fresh daemon over a warmed store answers a

@@ -16,8 +16,8 @@ import (
 // workload, configuration and simulation options it runs, and the
 // (workload, policy, config digest) identity its result is cached and
 // stored under. Resolve is the only place a request becomes a Plan, so
-// mosaicd, campaigns, the coordinator, mosaic-sim and mosaic-sweep all
-// simulate (and file) the same request identically.
+// mosaicd, campaigns, mosaic-sim and mosaic-sweep all simulate (and
+// file) the same request identically.
 type Plan struct {
 	// Req is the request the plan was resolved from.
 	Req RunRequest

@@ -28,6 +28,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -259,84 +260,110 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, fmt.Sprintf("injected queue pressure: %v", err))
 		return
 	}
+	got, src, err := s.answer(j)
+	if got == nil && err == nil {
+		got, src, err = s.enqueue(j)
+	}
+	switch {
+	case errors.Is(err, errDraining):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, errQueueFull):
+		s.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, err.Error())
+	case src == srcSim:
+		writeJSON(w, http.StatusAccepted, got.status(false))
+	default:
+		writeJSON(w, http.StatusOK, got.status(true))
+	}
+}
 
+// The two refusals of admission: a draining server accepts nothing,
+// and a full queue takes no new simulation.
+var (
+	errDraining  = errors.New("server is draining")
+	errQueueFull = errors.New("job queue full, retry later")
+)
+
+// answer resolves j's key without simulating. HTTP submissions and
+// campaign cells both admit through it, then through enqueue. It
+// returns the key's cached job, or j itself finished from the
+// persistent store and registered as the key's cached job; a nil job
+// when neither tier has the key; errDraining once shutdown began.
+func (s *Server) answer(j *job) (*job, cellSource, error) {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if existing, ok := s.cache[j.Key]; ok {
-		s.touch(existing)
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, existing.status(true))
-		return
-	}
+	existing, err := s.hit(j)
 	s.mu.Unlock()
-
-	// Cache miss: consult the persistent store before spending a queue
-	// slot. The lookup (possibly disk IO) runs outside s.mu, so the
-	// cache must be rechecked after — an identical racer may have won.
-	if result := s.tryStore(j); result != nil {
-		j.finish(JobDone, "", result)
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		if existing, ok := s.cache[j.Key]; ok {
-			s.touch(existing)
-			s.mu.Unlock()
-			s.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, existing.status(true))
-			return
-		}
-		s.seq++
-		j.id = fmt.Sprintf("r%06d", s.seq)
-		s.jobs[j.id] = j
-		s.cache[j.Key] = j
-		j.lruElem = s.lru.PushFront(j)
-		s.trimLRU()
-		s.mu.Unlock()
-		s.storeServes.Add(1)
-		writeJSON(w, http.StatusOK, j.status(true))
-		return
+	if existing != nil || err != nil {
+		return existing, srcCache, err
 	}
-
+	// The store lookup (possibly disk IO) runs outside s.mu, so the
+	// cache is rechecked after — an identical racer may have won.
+	result := s.tryStore(j)
+	if result == nil {
+		return nil, srcSim, nil
+	}
+	j.finish(JobDone, "", result)
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+	defer s.mu.Unlock()
+	if existing, err := s.hit(j); existing != nil || err != nil {
+		return existing, srcCache, err
 	}
-	if existing, ok := s.cache[j.Key]; ok {
-		s.touch(existing)
-		s.mu.Unlock()
-		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, existing.status(true))
-		return
+	s.register(j)
+	j.lruElem = s.lru.PushFront(j)
+	s.trimLRU()
+	s.storeServes.Add(1)
+	return j, srcStore, nil
+}
+
+// enqueue makes one attempt to queue j for simulation: it arms j's
+// deadline and, given a free queue slot, registers j as its key's job.
+// A job cached for the key since answer is returned instead. A full
+// queue or a draining server refuses with errQueueFull or errDraining.
+// Every exit that does not enqueue j leaves its deadline released, so
+// a caller may retry with the same j.
+func (s *Server) enqueue(j *job) (*job, cellSource, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if existing, err := s.hit(j); existing != nil || err != nil {
+		return existing, srcCache, err
 	}
-	s.seq++
-	j.id = fmt.Sprintf("r%06d", s.seq)
 	j.start(s.opt.DefaultTimeout) // before enqueue: the dispatcher reads j.ctx
 	select {
 	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.cache[j.Key] = j
-		s.mu.Unlock()
-		s.cacheMisses.Add(1)
-		s.accepted.Add(1)
-		writeJSON(w, http.StatusAccepted, j.status(false))
 	default:
-		s.seq--
 		j.cancel()
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue full, retry later")
+		return nil, srcSim, errQueueFull
 	}
+	s.register(j)
+	s.cacheMisses.Add(1)
+	s.accepted.Add(1)
+	return j, srcSim, nil
+}
+
+// hit is the check every admission step makes first: errDraining once
+// shutdown began, else the key's cached job (a counted cache hit), else
+// nil. Caller holds s.mu.
+func (s *Server) hit(j *job) (*job, error) {
+	if s.draining {
+		return nil, errDraining
+	}
+	existing, ok := s.cache[j.Key]
+	if !ok {
+		return nil, nil
+	}
+	s.touch(existing)
+	s.cacheHits.Add(1)
+	return existing, nil
+}
+
+// register assigns j the next job ID and makes it its key's cached
+// job. Caller holds s.mu.
+func (s *Server) register(j *job) {
+	s.seq++
+	j.id = fmt.Sprintf("r%06d", s.seq)
+	s.jobs[j.id] = j
+	s.cache[j.Key] = j
 }
 
 // touch marks a cached job as recently served. Caller holds s.mu.

@@ -13,11 +13,11 @@ import (
 // The persistent tier under the in-memory job cache. Store payloads are
 // the compact JSON of a single metrics.RunRecord — deliberately NOT the
 // served Report, whose Generator field varies by producing tool: the
-// RunRecord depends only on the simulation, so daemons, coordinators,
-// and prewarming CLIs sharing one store root always agree byte-for-byte
-// on a key's payload. The server re-wraps the record into a Report at
-// serve time with exactly the envelope execute builds for a fresh run,
-// so a store hit and a fresh simulation serve identical bytes.
+// RunRecord depends only on the simulation, so daemons and prewarming
+// CLIs sharing one store root always agree byte-for-byte on a key's
+// payload. The server re-wraps the record into a Report at serve time
+// with exactly the envelope execute builds for a fresh run, so a store
+// hit and a fresh simulation serve identical bytes.
 
 // StoreKey resolves a request's result-store identity — the (workload,
 // policy, config digest) triple a daemon would file its result under —

@@ -69,9 +69,9 @@ type RunRequest struct {
 // CampaignRequest is the body of POST /v1/campaigns: a whole sweep
 // grid — every (value, policy) cell of Base swept along Dim — submitted
 // as one schedulable unit. PlanCampaign expands it (cell i is value
-// i/len(P), policy i%len(P)) for the server, the coordinator and
-// mosaic-sweep's local mode alike; the server answers already-known
-// cells from its cache and store, and enqueues only the rest.
+// i/len(P), policy i%len(P)) for the server and mosaic-sweep's local
+// mode alike; the server answers already-known cells from its cache and
+// store, and enqueues only the rest.
 type CampaignRequest struct {
 	// Base is the request every cell starts from. Its Policy and
 	// Dim/DimValue fields must be empty — the campaign grid supplies

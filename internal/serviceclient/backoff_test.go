@@ -3,9 +3,11 @@ package serviceclient
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,5 +203,74 @@ func TestCampaignCancelSurfacesShortfall(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("missing cells on a terminal campaign did not error")
+	}
+}
+
+// runCampaignWithin runs RunCampaign with a context that has no
+// deadline and fails the test if it has not returned within limit.
+func runCampaignWithin(t *testing.T, c *Client, limit time.Duration) error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.RunCampaign(context.Background(), server.CampaignRequest{
+			Base: server.RunRequest{Apps: []string{"SCP"}}, Policies: []string{"a", "b"},
+		})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("RunCampaign still running after %v", limit)
+		return nil
+	}
+}
+
+// TestRunCampaignUnknownCampaignEnds: a daemon that answers the stream
+// and status endpoints with 404 (it restarted and lost the campaign)
+// ends RunCampaign with an error naming the campaign, instead of
+// reconnecting forever.
+func TestRunCampaignUnknownCampaignEnds(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(server.CampaignStatus{ID: "c000007", State: server.CampaignRunning, Cells: 2})
+	})
+	notFound := func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(struct{ Error string }{"no such campaign"})
+	}
+	mux.HandleFunc("GET /v1/campaigns/{id}", notFound)
+	mux.HandleFunc("GET /v1/campaigns/{id}/stream", notFound)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	err := runCampaignWithin(t, New(ts.URL), 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "c000007") || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("RunCampaign against a 404 stream: %v, want an error naming c000007 and the 404", err)
+	}
+}
+
+// TestRunCampaignServerGoneTimesOut: once the daemon is gone for good,
+// failed reconnects give up after WaitTimeout with ErrTimeout.
+func TestRunCampaignServerGoneTimesOut(t *testing.T) {
+	var ts *httptest.Server
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(server.CampaignStatus{ID: "c000003", State: server.CampaignRunning, Cells: 2})
+		go ts.Close() // the daemon dies right after accepting
+	})
+	mux.HandleFunc("GET /v1/campaigns/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		panic(http.ErrAbortHandler) // a stream that raced the close dies with it
+	})
+	ts = httptest.NewServer(mux)
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.WaitTimeout = 300 * time.Millisecond
+	err := runCampaignWithin(t, c, 5*time.Second)
+	if !errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "c000003") {
+		t.Fatalf("RunCampaign against a dead server: %v, want ErrTimeout naming c000003", err)
 	}
 }

@@ -117,7 +117,11 @@ func (c *Client) StreamCampaign(ctx context.Context, id string, fn func(server.C
 // event. The returned slice is in grid order (index i is cell i), one
 // event per cell regardless of completion or delivery order. Cell
 // failures are the caller's to inspect via the events; RunCampaign only
-// errors when the campaign itself cannot be completed.
+// errors when the campaign itself cannot be completed: a 4xx from the
+// stream or status endpoint (a restarted daemon no longer knows the
+// campaign) ends it at once, and when ctx has no deadline, failed
+// reconnects give up after Client.WaitTimeout (DefaultWaitTimeout when
+// zero) with ErrTimeout, so a dead daemon never hangs the caller.
 func (c *Client) RunCampaign(ctx context.Context, req server.CampaignRequest) ([]server.CellEvent, error) {
 	st, err := c.SubmitCampaign(ctx, req)
 	if err != nil {
@@ -135,24 +139,39 @@ func (c *Client) RunCampaign(ctx context.Context, req server.CampaignRequest) ([
 		count++
 		return nil
 	}
+	budget, bounded := c.waitBudget(ctx)
+	var failingSince time.Time // first failure since the last progress
 	for count < st.Cells {
-		streamErr := c.StreamCampaign(ctx, st.ID, collect)
+		before := count
+		err := c.StreamCampaign(ctx, st.ID, collect)
 		if count >= st.Cells {
 			break
 		}
 		if ctx.Err() != nil {
 			return events, typedCtxErr(ctx.Err())
 		}
-		if streamErr == nil {
+		if err == nil {
 			// The stream only closes cleanly once the campaign is
 			// terminal; missing cells mean it ended early (canceled).
-			cst, err := c.CampaignStatus(ctx, st.ID)
-			if err != nil {
-				return events, err
-			}
-			if cst.State.Terminal() {
+			var cst server.CampaignStatus
+			if cst, err = c.CampaignStatus(ctx, st.ID); err == nil && cst.State.Terminal() {
 				return events, fmt.Errorf("serviceclient: campaign %s %s with %d of %d cell events",
 					st.ID, cst.State, count, st.Cells)
+			}
+		}
+		if err == nil || count > before {
+			failingSince = time.Time{}
+		}
+		if err != nil {
+			if isClientError(err) {
+				return events, fmt.Errorf("serviceclient: campaign %s: %w", st.ID, err)
+			}
+			if failingSince.IsZero() {
+				failingSince = time.Now()
+			}
+			if bounded && time.Since(failingSince) >= budget {
+				return events, fmt.Errorf("serviceclient: campaign %s: %w: reconnecting for %v: %v",
+					st.ID, ErrTimeout, budget, err)
 			}
 		}
 		// Transport hiccup (or a not-yet-terminal early close): back off

@@ -55,9 +55,10 @@ type Client struct {
 	HTTPClient *http.Client
 	// PollInterval spaces Wait's status polls (default 200ms).
 	PollInterval time.Duration
-	// WaitTimeout bounds Wait's polling when the caller's context has
-	// no deadline of its own (0 = DefaultWaitTimeout; negative =
-	// unbounded). A context deadline always takes precedence.
+	// WaitTimeout bounds Wait's polling, and RunCampaign's run of
+	// failed reconnects, when the caller's context has no deadline of
+	// its own (0 = DefaultWaitTimeout; negative = unbounded). A context
+	// deadline always takes precedence.
 	WaitTimeout time.Duration
 	// Jitter overrides the jitter samples (uniform [0, 1)) of Wait's
 	// poll backoff; nil (the default) uses math/rand. Set it only to
@@ -166,11 +167,7 @@ func pollDelay(interval time.Duration, n int, rnd float64) time.Duration {
 // DefaultWaitTimeout) and reports expiry as ErrTimeout — so a lost job
 // ID or a wedged server surfaces as a typed error instead of a hang.
 func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) {
-	if _, ok := ctx.Deadline(); !ok && c.WaitTimeout >= 0 {
-		timeout := c.WaitTimeout
-		if timeout == 0 {
-			timeout = DefaultWaitTimeout
-		}
+	if timeout, ok := c.waitBudget(ctx); ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
@@ -198,6 +195,21 @@ func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) 
 		case <-time.After(pollDelay(interval, n, c.rand())):
 		}
 	}
+}
+
+// waitBudget is how long Wait may poll, and RunCampaign may keep
+// failing to reconnect, when ctx has no deadline of its own:
+// Client.WaitTimeout, or DefaultWaitTimeout when that is zero. ok is
+// false when ctx's deadline bounds the wait instead, or when
+// WaitTimeout is negative (unbounded).
+func (c *Client) waitBudget(ctx context.Context) (time.Duration, bool) {
+	if _, ok := ctx.Deadline(); ok || c.WaitTimeout < 0 {
+		return 0, false
+	}
+	if c.WaitTimeout == 0 {
+		return DefaultWaitTimeout, true
+	}
+	return c.WaitTimeout, true
 }
 
 // rand returns one jitter sample in [0, 1): the Jitter hook when set
@@ -345,13 +357,30 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// httpError is a non-2xx answer from the service.
+type httpError struct {
+	code int
+	msg  string
+}
+
+// Error returns the message apiError composed, status code included.
+func (e *httpError) Error() string { return e.msg }
+
+// isClientError reports whether err is a 4xx answer from the service:
+// the request is wrong for this server, so repeating it cannot help.
+func isClientError(err error) bool {
+	var he *httpError
+	return errors.As(err, &he) && he.code >= 400 && he.code < 500
+}
+
 // apiError converts a non-2xx response into a descriptive error,
 // preferring the service's JSON error body.
 func apiError(what string, resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	var ae struct{ Error string }
+	msg := fmt.Sprintf("serviceclient: %s: HTTP %d", what, resp.StatusCode)
 	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		return fmt.Errorf("serviceclient: %s: %s (HTTP %d)", what, ae.Error, resp.StatusCode)
+		msg = fmt.Sprintf("serviceclient: %s: %s (HTTP %d)", what, ae.Error, resp.StatusCode)
 	}
-	return fmt.Errorf("serviceclient: %s: HTTP %d", what, resp.StatusCode)
+	return &httpError{code: resp.StatusCode, msg: msg}
 }

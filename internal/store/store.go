@@ -1,12 +1,12 @@
-// Package store provides the persistent result tier of the mosaicd
-// fleet: a pluggable ResultStore keyed by the same
-// (workload, policy, ConfigDigest) identity triple that names a
-// metrics.RunRecord. The simulator is deterministic, so the triple is a
-// content address — any two daemons (or a daemon and a local CLI) that
-// compute the same key hold byte-identical payloads, which makes the
-// store safely shareable: mosaicd serves hits out of it across
-// restarts, multiple workers point at one root, and mosaic-bench
-// -record-store prewarms it from local runs. See docs/SERVICE.md for
+// Package store provides the persistent result tier of mosaicd: a
+// pluggable ResultStore keyed by the same (workload, policy,
+// ConfigDigest) identity triple that names a metrics.RunRecord. The
+// simulator is deterministic, so the triple is a content address — any
+// two daemons (or a daemon and a local CLI) that compute the same key
+// hold byte-identical payloads, which makes the store safely
+// shareable: mosaicd serves hits out of it across restarts, several
+// daemons point at one root, and mosaic-sim -record-store prewarms it
+// from local runs. See docs/SERVICE.md for
 // the on-disk format and sharing semantics.
 package store
 

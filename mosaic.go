@@ -447,9 +447,9 @@ func NewService(opt ServiceOptions) *Service { return server.New(opt) }
 func NewServiceClient(baseURL string) *ServiceClient { return serviceclient.New(baseURL) }
 
 // Campaign layer (POST /v1/campaigns): a whole sweep grid as one
-// schedulable unit, streamed back cell by cell. A campaign submitted to
-// a mosaicd worker runs locally; submitted to a mosaicd -coordinator it
-// fans out across a fleet. See docs/SERVICE.md.
+// schedulable unit, streamed back cell by cell. The daemon answers
+// known cells from its cache and result store and simulates only the
+// rest on its worker pool. See docs/SERVICE.md.
 type (
 	// CampaignRequest is a sweep grid: a base request crossed with a
 	// policy axis and an optional (dimension, values) axis.
