@@ -328,6 +328,44 @@ func TestCampaignFromStore(t *testing.T) {
 	}
 }
 
+// TestCampaignDeprecatedShards: a campaign whose Base still carries the
+// deprecated Shards field decodes, and its cell is the same result as
+// the campaign without it, answered from cache.
+func TestCampaignDeprecatedShards(t *testing.T) {
+	_, ts, release, execs := newStubServer(t, Options{Workers: 1})
+	close(release)
+
+	req := CampaignRequest{
+		Base:     RunRequest{Apps: []string{"SCP"}, Seed: 7, Shards: 4},
+		Policies: []string{"mosaic"},
+	}
+	code, st, raw := postCampaign(t, ts, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("campaign with Shards=4 in its base: HTTP %d: %s", code, raw)
+	}
+	withShards := streamEvents(t, ts, st.ID)
+	if len(withShards) != 1 || withShards[0].State != JobDone {
+		t.Fatalf("campaign with Shards=4 in its base: %+v, want one done cell", withShards)
+	}
+
+	req.Base.Shards = 0
+	code, st, raw = postCampaign(t, ts, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("campaign without Shards: HTTP %d: %s", code, raw)
+	}
+	plain := streamEvents(t, ts, st.ID)
+	if len(plain) != 1 || plain[0].State != JobDone {
+		t.Fatalf("campaign without Shards: %+v, want one done cell", plain)
+	}
+	if !plain[0].Cached || plain[0].ConfigDigest != withShards[0].ConfigDigest || !bytes.Equal(plain[0].Result, withShards[0].Result) {
+		t.Errorf("campaign without Shards: cached=%v, same digest=%v, identical bytes=%v; want a cache hit on the same result",
+			plain[0].Cached, plain[0].ConfigDigest == withShards[0].ConfigDigest, bytes.Equal(plain[0].Result, withShards[0].Result))
+	}
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("%d executions, want 1", got)
+	}
+}
+
 // TestCampaignCancel: canceling mid-flight marks unfinished cells
 // canceled, closes the stream, and leaves the campaign canceled.
 func TestCampaignCancel(t *testing.T) {

@@ -262,9 +262,9 @@ func TestSingleFlightDedupe(t *testing.T) {
 }
 
 // TestDeprecatedShardsIgnored pins wire compatibility for the removed
-// sharded cycle loop: a run request, or a campaign Base, that still
-// carries Shards decodes, and it shares one job key and one cache
-// entry with the same request without it.
+// sharded cycle loop: a request that still carries Shards decodes, and
+// it shares one job key and one cache entry with the same request
+// without it.
 func TestDeprecatedShardsIgnored(t *testing.T) {
 	_, ts, release, execs := newStubServer(t, Options{Workers: 1, QueueSize: 2})
 
@@ -300,20 +300,6 @@ func TestDeprecatedShardsIgnored(t *testing.T) {
 	_, metricsBody := getJSON(t, ts.URL+"/metrics")
 	if !strings.Contains(metricsBody, "mosaicd_cache_hits_total 1") {
 		t.Errorf("/metrics lacks one cache hit:\n%s", metricsBody)
-	}
-
-	base := withShards
-	base.Policy = "" // the campaign's Policies axis supplies it
-	code, cst, raw := postCampaign(t, ts, CampaignRequest{Base: base, Policies: []string{"mosaic"}})
-	if code != http.StatusAccepted {
-		t.Fatalf("campaign with Shards=4 in its base: HTTP %d: %s", code, raw)
-	}
-	evs := streamEvents(t, ts, cst.ID)
-	if len(evs) != 1 || evs[0].State != JobDone || !evs[0].Cached || evs[0].ConfigDigest != st1.ConfigDigest {
-		t.Fatalf("campaign with Shards=4 in its base: %+v, want one cached cell of job %s", evs, st1.ID)
-	}
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("%d executions after the campaign, want 1", got)
 	}
 }
 
