@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -65,6 +66,13 @@ func TestBenchOutCreateFailureExitsNonZero(t *testing.T) {
 	}
 	if stderr == "" {
 		t.Fatal("no message on stderr")
+	}
+}
+
+func TestBenchUnknownFigureFails(t *testing.T) {
+	code, stderr := runCLI(t, "mosaic-bench", "-fig", "17", "-format", "json")
+	if code == 0 || !strings.Contains(stderr, `"17"`) || !strings.Contains(stderr, "oversub") {
+		t.Fatalf("exit %d, stderr %q: want a non-zero exit naming 17 and the valid figures", code, stderr)
 	}
 }
 

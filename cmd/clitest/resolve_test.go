@@ -8,6 +8,8 @@ package clitest
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
@@ -15,8 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/serviceclient"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -57,6 +62,7 @@ func TestSimOutOfRangeFractionsFailWithoutPanic(t *testing.T) {
 		{"FragIndex", []string{"-frag", "-1"}},
 		{"FragOccupancy", []string{"-frag-occupancy", "2", "-frag", "0.5"}},
 		{"DeallocFraction", []string{"-dealloc", "1.5"}},
+		{"scale", []string{"-scale", "-5"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			args := append([]string{"-apps", "HS", "-policy", "ideal", "-scale", "512"}, tc.args...)
@@ -119,10 +125,73 @@ func TestSimRecordStorePrewarmServesFreshBytes(t *testing.T) {
 }
 
 func TestSweepLocalMatchesServer(t *testing.T) {
-	args := []string{"-dim", "scale", "-values", "512", "-apps", "HS, HS", "-policies", "ideal", "-format", "json"}
+	args := []string{"-dim", "scale", "-values", "512, 1024", "-apps", "HS, HS", "-policies", "ideal", "-format", "json"}
 	local := runCLIOut(t, "mosaic-sweep", args...)
 	remote := runCLIOut(t, "mosaic-sweep", append(args, "-server", startServer(t, nil))...)
 	if !bytes.Equal(local, remote) {
 		t.Fatalf("local and -server sweeps differ:\n%s\nvs\n%s", local, remote)
+	}
+	// A spaced value labels its row and record by the parsed integer.
+	rep, err := metrics.ReadReport(bytes.NewReader(local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := rep.Figures[0]
+	if label, wl := fig.Rows[1][0], fig.Runs[1].Workload; label != "1024" || wl != "scale=1024/HS,HS" {
+		t.Fatalf("row label %q, workload %q: want 1024 and scale=1024/HS,HS", label, wl)
+	}
+}
+
+// TestSweepForkedMatchesColdReference runs a forked mosaic-sweep grid
+// and checks every record against the cell's cold two-phase run,
+// resolved and simulated here from the same campaign request.
+func TestSweepForkedMatchesColdReference(t *testing.T) {
+	const warmup = 50_000
+	out := runCLIOut(t, "mosaic-sweep", "-dim", "l1base", "-values", "16,256", "-apps", "NW,NW",
+		"-policies", "gpummu,mosaic", "-snapshot-warmup", "50000", "-format", "json")
+	rep, err := metrics.ReadReport(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rep.Figures[0].Runs
+
+	// mosaic-sweep's defaults for the flags left unset above.
+	creq := server.CampaignRequest{
+		Base:     server.RunRequest{Apps: []string{"NW", "NW"}, Seed: 42},
+		Policies: []string{"gpummu", "mosaic"},
+		Dim:      "l1base",
+		Values:   []int{16, 256},
+	}
+	base, err := server.Resolve(config.Eval, creq.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := server.PlanCampaign(config.Eval, creq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cells) {
+		t.Fatalf("%d records, want %d", len(got), len(cells))
+	}
+	for i, c := range cells {
+		opt := c.Options
+		opt.SnapshotWarmup = warmup
+		res, err := sim.RunTwoPhase(nil, base.Config, c.Workload, opt, c.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := metrics.NewRunRecord(res)
+		want.Workload = fmt.Sprintf("l1base=%d/%s", c.Req.DimValue, want.Workload)
+		wb, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("cell %d: forked record differs from cold reference:\n%s\nvs\n%s", i, gb, wb)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	mosaic "repro"
@@ -31,17 +32,19 @@ import (
 	_ "repro/internal/policies/fifoevict"
 )
 
+// figNames lists every -fig name.
+var figNames = []string{"3", "4", "bloat", "8", "9", "10", "11", "12", "13", "14", "15", "16", "t2", "oversub"}
+
 func main() {
 	var (
 		full     = flag.Bool("full", false, "run the complete 27-application suite")
-		figs     = flag.String("fig", "all", "comma-separated figure list: 3,4,bloat,8,9,10,11,12,13,14,15,16,t2,oversub or 'all'")
+		figs     = flag.String("fig", "all", "comma-separated figure list: "+strings.Join(figNames, ",")+" or 'all'")
 		scale    = flag.Int("scale", 0, "working-set scale divisor (0 = harness default)")
 		csvDir   = flag.String("csv", "", "also write each experiment's table as CSV into this directory")
 		chart    = flag.Bool("chart", false, "also draw each experiment as an ASCII bar chart (text format only)")
 		verbose  = flag.Bool("v", false, "print one line per simulation run")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
-		snapWarm = flag.Uint64("snapshot-warmup", 0, "amortize the TLB sweeps (figs 14/15): run each (workload, policy) warmup prefix of this many cycles once and fork it per cell (0 = off; changes sweep digests)")
-		snapCold = flag.Bool("snapshot-cold", false, "with -snapshot-warmup: run each cell's two-phase plan cold instead of forking (the determinism/benchmark comparison arm)")
+		snapWarm = flag.Uint64("snapshot-warmup", 0, "amortize the TLB sweeps (figs 14/15): warm each (workload, policy) family for this many cycles under the base config once, then fork it and reconfigure it per cell (0 = off; changes sweep digests). Unlike mosaic-sim's flag of the same name, this is a whole-sweep plan")
 		format   = flag.String("format", "text", "output format: text | json | csv")
 		outPath  = flag.String("out", "", "write output to this file instead of stdout")
 	)
@@ -50,6 +53,20 @@ func main() {
 	if *format != "text" && *format != "json" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "unknown format %q (want text, json, or csv)\n", *format)
 		os.Exit(1)
+	}
+
+	if *scale < 0 {
+		fmt.Fprintln(os.Stderr, "-scale must be non-negative")
+		os.Exit(1)
+	}
+	want := map[string]bool{}
+	for _, f := range strings.Split(*figs, ",") {
+		f = strings.TrimSpace(f)
+		if f != "all" && !slices.Contains(figNames, f) {
+			fmt.Fprintf(os.Stderr, "unknown figure %q (want one of %s or all)\n", f, strings.Join(figNames, ", "))
+			os.Exit(1)
+		}
+		want[f] = true
 	}
 
 	cfg := mosaic.EvalConfig()
@@ -64,7 +81,6 @@ func main() {
 	}
 	h.Jobs = *jobs
 	h.SweepWarmup = *snapWarm
-	h.SweepColdstart = *snapCold
 	if *verbose {
 		h.Progress = os.Stderr
 	}
@@ -133,10 +149,6 @@ func main() {
 		emit(fig)
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
 	all := want["all"]
 	sel := func(name string) bool { return all || want[name] }
 

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -105,30 +104,22 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			recs = collectRecords(rep, recs)
+			for _, fig := range rep.Figures {
+				recs = append(recs, fig.Runs...)
+			}
 		} else {
 			// Several policies are one campaign over the policy axis:
-			// the service plans and runs the cells, the event stream
-			// returns them in grid (= policy) order, so the printed
-			// reports come back in the same order a local run prints.
+			// the service plans and runs the cells, and their records
+			// come back in grid (= policy) order, so the printed reports
+			// come back in the same order a local run prints.
 			names := make([]string, len(policies))
 			for i, p := range policies {
 				names[i] = p.Wire
 			}
-			events, err := client.RunCampaign(context.Background(),
+			recs, err = client.RunCampaignRecords(context.Background(),
 				mosaic.CampaignRequest{Base: req, Policies: names})
 			if err != nil {
 				fatal(err)
-			}
-			for i, ev := range events {
-				if ev.State != mosaic.JobDone {
-					fatal(fmt.Errorf("cell %d (%s): %s %s", i, ev.Policy, ev.State, ev.Error))
-				}
-				rep, err := mosaic.ReadReport(bytes.NewReader(ev.Result))
-				if err != nil {
-					fatal(fmt.Errorf("cell %d: parsing result: %w", i, err))
-				}
-				recs = collectRecords(rep, recs)
 			}
 		}
 		for _, rec := range recs {
@@ -174,14 +165,6 @@ func main() {
 		}
 	}
 	writeRecordsIfAsked(*recordOut, *apps, *seed, recs)
-}
-
-// collectRecords appends a fetched report's run records to recs.
-func collectRecords(rep mosaic.Report, recs []mosaic.RunRecord) []mosaic.RunRecord {
-	for _, fig := range rep.Figures {
-		recs = append(recs, fig.Runs...)
-	}
-	return recs
 }
 
 // fileRecord puts one run's record into the result store under its

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/server"
-	"repro/internal/sim"
 
 	// Linking a policy package registers it; FIFO-MMU is the out-of-tree
 	// proof policy, selectable via -policies fifo-mmu.
@@ -47,8 +45,7 @@ func main() {
 		nopaging  = flag.Bool("nopaging", false, "disable demand paging")
 		listDims  = flag.Bool("dims", false, "list sweepable dimensions and exit")
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
-		snapWarm  = flag.Uint64("snapshot-warmup", 0, "amortize warmup across cells: run each policy's warmup prefix of this many cycles once, snapshot it, and fork it per swept value (TLB dimensions only; 0 = off; changes the config digests)")
-		snapCold  = flag.Bool("snapshot-cold", false, "with -snapshot-warmup: run each cell's two-phase plan cold instead of forking the shared snapshot; output must be byte-identical to the forked run (the determinism comparison arm)")
+		snapWarm  = flag.Uint64("snapshot-warmup", 0, "amortize warmup across cells (local runs, TLB dimensions only): warm each policy for this many cycles under the base config once, then fork it and reconfigure it per swept value (0 = off; changes the config digests). Unlike mosaic-sim's flag of the same name, this is a whole-sweep plan")
 		serverURL = flag.String("server", "", "submit the grid as one campaign to this mosaicd URL instead of simulating locally (see docs/SERVICE.md)")
 		format    = flag.String("format", "text", "output format: text | json | csv")
 		outPath   = flag.String("out", "", "write output to this file instead of stdout")
@@ -109,17 +106,17 @@ func main() {
 	}
 	var recs []metrics.RunRecord
 	if *serverURL != "" {
-		if *snapWarm > 0 || *snapCold {
-			fmt.Fprintln(os.Stderr, "-snapshot-warmup/-snapshot-cold are local-only: a campaign's cells are single-phase runs (the daemon's store amortizes repeat cells instead)")
+		if *snapWarm > 0 {
+			fmt.Fprintln(os.Stderr, "-snapshot-warmup is local-only: a sweep warms under the base config and reconfigures each cell, which a campaign's RunRequest cells cannot express")
 			os.Exit(1)
 		}
-		recs = runCampaign(*serverURL, creq)
+		recs, err = mosaic.NewServiceClient(*serverURL).RunCampaignRecords(context.Background(), creq)
 	} else {
-		recs, err = runLocal(creq, d, *jobs, *snapWarm, *snapCold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		recs, err = runLocal(creq, d, *jobs, *snapWarm)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	tbl := metrics.Table{
@@ -127,15 +124,15 @@ func main() {
 		Columns: append([]string{*dim}, polNames...),
 	}
 	var runs []metrics.RunRecord
-	for vi, vs := range valStrs {
+	for vi, v := range vals {
 		row := []float64{}
 		for pi := range polNames {
 			rec := recs[vi*len(polNames)+pi]
 			row = append(row, rec.TotalIPC)
-			rec.Workload = fmt.Sprintf("%s=%s/%s", *dim, vs, rec.Workload)
+			rec.Workload = fmt.Sprintf("%s=%d/%s", *dim, v, rec.Workload)
 			runs = append(runs, rec)
 		}
-		tbl.AddRowF(vs, row...)
+		tbl.AddRowF(strconv.Itoa(v), row...)
 	}
 
 	// Output flows through an error-recording writer so render/export
@@ -182,119 +179,39 @@ func main() {
 	}
 }
 
-// runCampaign submits the grid as one campaign and returns the per-cell
-// records in grid order. Cell events arrive with the full result report
-// of each cell; a failed or canceled cell aborts the sweep.
-func runCampaign(url string, req mosaic.CampaignRequest) []metrics.RunRecord {
-	client := mosaic.NewServiceClient(url)
-	events, err := client.RunCampaign(context.Background(), req)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	recs := make([]metrics.RunRecord, len(events))
-	for i, ev := range events {
-		if ev.State != mosaic.JobDone {
-			fmt.Fprintf(os.Stderr, "cell %d (%s, %s): %s %s\n", i, ev.Workload, ev.Policy, ev.State, ev.Error)
-			os.Exit(1)
-		}
-		rep, err := metrics.ReadReport(bytes.NewReader(ev.Result))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cell %d: parsing result: %v\n", i, err)
-			os.Exit(1)
-		}
-		if len(rep.Figures) != 1 || len(rep.Figures[0].Runs) != 1 {
-			fmt.Fprintf(os.Stderr, "cell %d: malformed result report\n", i)
-			os.Exit(1)
-		}
-		recs[i] = rep.Figures[0].Runs[0]
-	}
-	return recs
-}
-
-// runLocal runs the campaign's grid here on a pool of jobs workers and
+// runLocal runs the campaign's grid here through harness.RunCells and
 // returns the per-cell records in grid order, so the output matches a
 // sequential run for every jobs value. With warmup > 0 (and every cell
-// differing from the base request only in TLB knobs) each cell runs as
-// a two-phase plan warmed under the resolved base: forked from one
-// warmed snapshot per policy, or cold — byte-identical output.
-func runLocal(creq mosaic.CampaignRequest, d harness.SweepDim, jobs int, warmup uint64, cold bool) ([]metrics.RunRecord, error) {
-	cells, err := server.PlanCampaign(config.Eval, creq)
+// differing from the resolved base request only in TLB knobs) each
+// (workload, policy) family warms once under the base and forks per cell.
+func runLocal(creq mosaic.CampaignRequest, d harness.SweepDim, jobs int, warmup uint64) ([]metrics.RunRecord, error) {
+	planned, err := server.PlanCampaign(config.Eval, creq)
 	if err != nil {
 		return nil, err
 	}
-	nPol := len(creq.Policies)
+	cells := make([]harness.Cell, len(planned))
+	for i, c := range planned {
+		cells[i] = c.Cell
+	}
 	var base server.Plan
 	if warmup > 0 {
 		if base, err = server.Resolve(config.Eval, creq.Base); err != nil {
 			return nil, err
 		}
-		eligible := d.Apply != nil
-		for _, c := range cells {
-			eligible = eligible && mosaic.CanReconfigure(base.Config, c.Config)
-		}
-		if !eligible {
+		// A workload-dependent dimension (oversub) is never forked, even
+		// where its values leave the config unchanged.
+		if d.Apply == nil || !harness.Forkable(base.Config, cells) {
 			fmt.Fprintf(os.Stderr, "-snapshot-warmup ignored: dimension %q changes non-TLB knobs\n", creq.Dim)
 			warmup = 0
 		}
 	}
-	// twoPhase is a cell's plan with the warmup prefix turned on.
-	twoPhase := func(c server.PlannedCell) mosaic.SimOptions {
-		opt := c.Options
-		opt.SnapshotWarmup = warmup
-		return opt
-	}
-
-	r := mosaic.NewRunner(jobs)
-	defer r.Close()
-	errs := make([]error, len(cells))
-	var snaps []*mosaic.SimSnapshot
-	if warmup > 0 && !cold {
-		// Row 0 holds one cell per policy; its options are every row's.
-		snaps = make([]*mosaic.SimSnapshot, nPol)
-		for pi := range snaps {
-			pi := pi
-			r.Submit(func() {
-				snaps[pi], errs[pi] = sim.WarmSnapshot(base.Config, base.Workload, twoPhase(cells[pi]))
-			})
-		}
-		r.Wait()
-		if err := firstErr(errs); err != nil {
-			return nil, err
-		}
-	}
-	results := make([]mosaic.Results, len(cells))
-	for i, c := range cells {
-		i, c := i, c
-		r.Submit(func() {
-			if warmup == 0 {
-				results[i], errs[i] = mosaic.Run(c.Config, c.Workload, c.Options)
-				return
-			}
-			var snap *mosaic.SimSnapshot
-			if snaps != nil {
-				snap = snaps[i%nPol]
-			}
-			results[i], errs[i] = sim.RunTwoPhase(snap, base.Config, c.Workload, twoPhase(c), c.Config)
-		})
-	}
-	r.Wait()
-	if err := firstErr(errs); err != nil {
+	results, err := harness.RunCells(jobs, base.Config, warmup, cells)
+	if err != nil {
 		return nil, err
 	}
-	recs := make([]metrics.RunRecord, len(cells))
+	recs := make([]metrics.RunRecord, len(results))
 	for i, res := range results {
 		recs[i] = metrics.NewRunRecord(res)
 	}
 	return recs, nil
-}
-
-// firstErr returns the first non-nil error in grid order.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

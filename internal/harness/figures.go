@@ -597,107 +597,61 @@ type SweepResult struct {
 // re-clamped after every size mutation so that sweeping an entry count
 // below an associativity cannot produce invalid geometry.
 //
-// With SweepWarmup set (and every cell reconfigurable from the base
-// configuration) the sweep becomes a two-phase plan: one warmup prefix
-// per (workload, policy) family — run once and forked per cell, or run
-// per cell when SweepColdstart is set — with the swept geometry applied
-// between warmup and measurement. The baseline column reconfigures to
-// the base configuration itself, so every cell's digest chains the same
-// way and forked results are byte-identical to cold ones.
+// The grid runs through RunCells, so with SweepWarmup set (and every
+// cell reconfigurable from the base configuration) each (workload,
+// policy) family warms once and forks per cell. The baseline column
+// then reconfigures to the base configuration itself, so every cell's
+// digest chains the same way.
 func (h *Harness) sweep(title string, n int, sizes []int, apply func(*config.Config, int)) SweepResult {
 	wls := h.homogeneous(n)
 	nBase := len(wls)
-	baseWS := make([]float64, nBase)
-	type sweepCell struct{ g, m float64 }
-	cells := make([]sweepCell, len(sizes)*nBase)
-
-	cellCfg := func(size int) config.Config {
-		c := h.Cfg
-		apply(&c, size)
-		c.ClampTLBWays()
-		return c
-	}
-	warmup := h.SweepWarmup > 0
-	for _, size := range sizes {
-		if warmup && !sim.CanReconfigure(h.Cfg, cellCfg(size)) {
-			warmup = false
-			if h.Progress != nil {
-				h.progressMu.Lock()
-				fmt.Fprintf(h.Progress, "sweep %q: SweepWarmup ignored (cells change non-TLB knobs)\n", title)
-				h.progressMu.Unlock()
-			}
-		}
-	}
-
 	pols := []core.Policy{core.GPUMMU4K, core.Mosaic}
-	var snaps []*sim.Snapshot
-	if warmup && !h.SweepColdstart {
-		// Phase A: one warmed snapshot per (workload, policy) family. The
-		// barrier before phase B is inherent — cells fork from these.
-		snaps = make([]*sim.Snapshot, nBase*len(pols))
-		h.forEach(len(snaps), func(i int) {
-			snaps[i] = h.warmupSnapshot(pols[i%len(pols)], wls[i/len(pols)])
-		})
+	// cells holds the GPU-MMU baseline of every workload, then for each
+	// size and workload one cell per policy.
+	cells := make([]Cell, 0, nBase*(1+len(sizes)*len(pols)))
+	for _, wl := range wls {
+		cells = append(cells, Cell{wl, h.Cfg, sim.Options{Policy: core.GPUMMU4K, Seed: h.Seed}})
 	}
-	// snapFor returns the family snapshot (nil in cold/plain modes).
-	snapFor := func(wi int, policy core.Policy) *sim.Snapshot {
-		if snaps == nil {
-			return nil
-		}
-		for pi, p := range pols {
-			if p == policy {
-				return snaps[wi*len(pols)+pi]
+	for _, size := range sizes {
+		cfg := h.Cfg
+		apply(&cfg, size)
+		cfg.ClampTLBWays()
+		for _, wl := range wls {
+			for _, p := range pols {
+				cells = append(cells, Cell{wl, cfg, sim.Options{Policy: p, Seed: h.Seed}})
 			}
 		}
-		return nil
 	}
-	h.forEach(nBase+len(cells), func(i int) {
-		if i < nBase {
-			wl := wls[i]
-			var r sim.Results
-			if warmup {
-				r = h.twoPhaseRun(snapFor(i, core.GPUMMU4K), core.GPUMMU4K, wl, h.Cfg)
-			} else {
-				r = h.mustRun(wl, core.GPUMMU4K, nil, nil)
-			}
-			baseWS[i] = h.weightedSpeedup(r, wl, nil)
-			return
-		}
-		j := i - nBase
-		size := sizes[j/nBase]
-		wi := j % nBase
-		wl := wls[wi]
-		mut := func(c *config.Config) {
-			apply(c, size)
-			c.ClampTLBWays()
-		}
-		var rg, rm sim.Results
-		if warmup {
-			cell := cellCfg(size)
-			rg = h.twoPhaseRun(snapFor(wi, core.GPUMMU4K), core.GPUMMU4K, wl, cell)
-			rm = h.twoPhaseRun(snapFor(wi, core.Mosaic), core.Mosaic, wl, cell)
-		} else {
-			rg = h.mustRun(wl, core.GPUMMU4K, mut, nil)
-			rm = h.mustRun(wl, core.Mosaic, mut, nil)
-		}
-		// Alone-run denominators deliberately use the base configuration
-		// (nil mut) in every mode: the sweep reports shared-run movement
-		// against a fixed reference, and warm/cold/plain cells all
-		// normalize identically.
-		cells[j].g = h.weightedSpeedup(rg, wl, nil)
-		cells[j].m = h.weightedSpeedup(rm, wl, nil)
+	if h.SweepWarmup > 0 && !Forkable(h.Cfg, cells) && h.Progress != nil {
+		h.progressMu.Lock()
+		fmt.Fprintf(h.Progress, "sweep %q: SweepWarmup ignored (cells change non-TLB knobs)\n", title)
+		h.progressMu.Unlock()
+	}
+	results, err := RunCells(h.workers(), h.Cfg, h.SweepWarmup, cells)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s: %v", title, err))
+	}
+	// Alone-run denominators deliberately use the base configuration
+	// (nil mutate) for every cell: the sweep reports shared-run movement
+	// against a fixed reference, and forked and plain cells normalize
+	// identically.
+	ws := make([]float64, len(cells))
+	h.forEach(len(cells), func(i int) {
+		h.record(results[i])
+		ws[i] = h.weightedSpeedup(results[i], cells[i].Workload, nil)
 	})
 
 	res := SweepResult{Sizes: sizes, Table: metrics.Table{
 		Title:   title,
 		Columns: []string{"entries", "GPU-MMU", "Mosaic"},
 	}}
-	baseline := metrics.Mean(baseWS)
+	baseline := metrics.Mean(ws[:nBase])
 	for si, size := range sizes {
 		var g, m []float64
 		for w := 0; w < nBase; w++ {
-			g = append(g, cells[si*nBase+w].g)
-			m = append(m, cells[si*nBase+w].m)
+			c := nBase + (si*nBase+w)*len(pols)
+			g = append(g, ws[c])
+			m = append(m, ws[c+1])
 		}
 		ng, nm := metrics.Mean(g)/baseline, metrics.Mean(m)/baseline
 		res.GPUMMU = append(res.GPUMMU, ng)

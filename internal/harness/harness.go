@@ -16,7 +16,6 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
 	"sync"
@@ -53,21 +52,15 @@ type Harness struct {
 	// experiment (or use CollectFigure) to group records by figure.
 	Collect *metrics.Collector
 	// SweepWarmup, when positive, turns the TLB sweeps (Fig14*/Fig15*)
-	// into two-phase plans amortized across cells: every cell of one
-	// (workload, policy) family shares a warmup prefix of this many cycles
-	// executed once under the base configuration, snapshotted at its
-	// quiesce point, and forked per cell with the cell's TLB geometry
-	// applied via sim.Reconfigure. Results are byte-identical to running
-	// each cell's two-phase plan cold (see SweepColdstart) at every Jobs
-	// value. Sweeps whose cells change non-TLB knobs ignore the setting
-	// (with a Progress warning) and run plain. Zero (the default) keeps
-	// the pre-existing single-phase sweep behavior and digests.
+	// into two-phase plans amortized across cells (see RunCells): every
+	// cell of one (workload, policy) family forks a warmup prefix of this
+	// many cycles, run once under the base configuration, with the cell's
+	// TLB geometry applied via sim.Reconfigure. Results are byte-identical
+	// to running each cell's two-phase plan cold, at every Jobs value.
+	// Sweeps whose cells change non-TLB knobs ignore the setting (with a
+	// Progress warning) and run plain. Zero (the default) keeps the
+	// single-phase sweep behavior and digests.
 	SweepWarmup uint64
-	// SweepColdstart forces SweepWarmup-mode sweeps to run each cell's
-	// two-phase plan from scratch instead of forking the shared snapshot —
-	// the comparison arm for validating fork determinism and for
-	// measuring the warmup amortization win. Ignored when SweepWarmup is 0.
-	SweepColdstart bool
 
 	progressMu sync.Mutex
 
@@ -75,13 +68,13 @@ type Harness struct {
 	alone   map[aloneKey]*aloneCell
 }
 
-// aloneKey identifies one alone-run simulation: the application plus a
-// digest of the fully mutated configuration it runs under. Keying by the
-// whole config (rather than a few fields) keeps experiments with
-// different mutate functions from sharing stale alone IPCs.
+// aloneKey identifies one alone-run simulation: the application plus the
+// fully mutated configuration it runs under. Keying by the whole config
+// (rather than a few fields) keeps experiments with different mutate
+// functions from sharing stale alone IPCs.
 type aloneKey struct {
-	app    string
-	digest uint64
+	app string
+	cfg config.Config
 }
 
 // aloneCell is a single-flight cache slot: concurrent requests for the
@@ -89,15 +82,6 @@ type aloneKey struct {
 type aloneCell struct {
 	once sync.Once
 	val  float64
-}
-
-// configDigest hashes every field of a configuration. The printed form
-// of the flat struct is deterministic, so equal configs always collide
-// and differing configs practically never do.
-func configDigest(c config.Config) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", c)
-	return h.Sum64()
 }
 
 // New returns a harness over cfg with paper-default workload counts.
@@ -179,19 +163,14 @@ func (h *Harness) homogeneous(n int) []workload.Workload {
 
 // run executes one simulation.
 func (h *Harness) run(wl workload.Workload, policy core.Policy, mutate func(*config.Config), simMut func(*sim.Options)) (sim.Results, error) {
-	cfg := h.Cfg
+	c := Cell{Workload: wl, Config: h.Cfg, Options: sim.Options{Policy: policy, Seed: h.Seed}}
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&c.Config)
 	}
-	opt := sim.Options{Policy: policy, Seed: h.Seed}
 	if simMut != nil {
-		simMut(&opt)
+		simMut(&c.Options)
 	}
-	s, err := sim.New(cfg, wl, opt)
-	if err != nil {
-		return sim.Results{}, err
-	}
-	r, err := s.Run()
+	r, err := c.run()
 	if err != nil {
 		return sim.Results{}, err
 	}
@@ -242,40 +221,11 @@ func (h *Harness) mustRun(wl workload.Workload, policy core.Policy, mutate func(
 	return r
 }
 
-// twoPhaseOptions is the plan of a SweepWarmup-mode sweep family.
-func (h *Harness) twoPhaseOptions(policy core.Policy) sim.Options {
-	return sim.Options{Policy: policy, Seed: h.Seed, SnapshotWarmup: h.SweepWarmup}
-}
-
-// warmupSnapshot runs the shared warmup prefix of one (policy, workload)
-// sweep family under the base configuration and freezes it for forking.
-// Like mustRun, failures panic: the harness constructs its own plans.
-func (h *Harness) warmupSnapshot(policy core.Policy, wl workload.Workload) *sim.Snapshot {
-	snap, err := sim.WarmSnapshot(h.Cfg, wl, h.twoPhaseOptions(policy))
-	if err != nil {
-		panic(fmt.Sprintf("harness: warmup %s/%v: %v", wl.Name, policy, err))
-	}
-	return snap
-}
-
-// twoPhaseRun executes one sweep cell of a SweepWarmup-mode sweep via
-// sim.RunTwoPhase — forked from snap, or cold when snap is nil, with
-// byte-identical Results either way — and feeds Collect and Progress
-// exactly like run does.
-func (h *Harness) twoPhaseRun(snap *sim.Snapshot, policy core.Policy, wl workload.Workload, cell config.Config) sim.Results {
-	r, err := sim.RunTwoPhase(snap, h.Cfg, wl, h.twoPhaseOptions(policy), cell)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %s/%v: %v", wl.Name, policy, err))
-	}
-	h.record(r)
-	return r
-}
-
 // aloneIPC returns the cached alone-run IPC of one application on smCount
 // SMs under the GPU-MMU baseline (§5's IPC_alone definition). The cache
-// is keyed by a digest of the fully mutated configuration and is
-// single-flight: concurrent workers requesting the same alone IPC
-// compute it exactly once, the rest block until the value is ready.
+// is keyed by the fully mutated configuration and is single-flight:
+// concurrent workers requesting the same alone IPC compute it exactly
+// once, the rest block until the value is ready.
 func (h *Harness) aloneIPC(spec workload.Spec, smCount int, mutate func(*config.Config)) float64 {
 	aloneMut := func(c *config.Config) {
 		if mutate != nil {
@@ -285,7 +235,7 @@ func (h *Harness) aloneIPC(spec workload.Spec, smCount int, mutate func(*config.
 	}
 	cfg := h.Cfg
 	aloneMut(&cfg)
-	key := aloneKey{app: spec.Name, digest: configDigest(cfg)}
+	key := aloneKey{app: spec.Name, cfg: cfg}
 
 	h.aloneMu.Lock()
 	if h.alone == nil {

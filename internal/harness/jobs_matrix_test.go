@@ -36,10 +36,10 @@ func matrixBytes(t *testing.T, jobs int) []byte {
 	ho.Jobs = jobs
 	collect(ho, "oversub", func() metrics.Table { return ho.Oversub(1.2, 2).Table })
 
-	hf := sweepHarness(t, jobs, 10_000, false)
+	hf := sweepHarness(t, jobs, 10_000)
 	collect(hf, "fig14a", func() metrics.Table { return hf.Fig14L1(2, 16, 128).Table })
 
-	hp := sweepHarness(t, jobs, 0, false)
+	hp := sweepHarness(t, jobs, 0)
 	collect(hp, "fig14a", func() metrics.Table { return hp.Fig14L1(2, 16, 128).Table })
 
 	return out.Bytes()

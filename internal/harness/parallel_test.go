@@ -135,14 +135,14 @@ func TestWeightedSpeedupUsesMutatedSMCount(t *testing.T) {
 	want := h.Cfg
 	mut(&want)
 	want.NumSMs = 1
-	if _, ok := h.alone[aloneKey{app: spec.Name, digest: configDigest(want)}]; !ok {
+	if _, ok := h.alone[aloneKey{app: spec.Name, cfg: want}]; !ok {
 		t.Error("alone run not keyed by the mutated config's SM share")
 	}
 	// ...not 6/2 = 3 SMs derived from the un-mutated base config.
 	wrong := h.Cfg
 	mut(&wrong)
 	wrong.NumSMs = 3
-	if _, ok := h.alone[aloneKey{app: spec.Name, digest: configDigest(wrong)}]; ok {
+	if _, ok := h.alone[aloneKey{app: spec.Name, cfg: wrong}]; ok {
 		t.Error("alone run derived its SM share from the un-mutated base config")
 	}
 }

@@ -1,67 +1,109 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // sweepHarness builds a tiny harness configured for SweepWarmup studies.
-func sweepHarness(t *testing.T, jobs int, warmup uint64, cold bool) *Harness {
+func sweepHarness(t *testing.T, jobs int, warmup uint64) *Harness {
 	t.Helper()
 	h := tiny(t)
 	h.AppNames = []string{"NW"}
 	h.Jobs = jobs
 	h.SweepWarmup = warmup
-	h.SweepColdstart = cold
 	return h
 }
 
-// TestSweepWarmupForkedMatchesCold is the harness half of the tentpole
-// gate: a forked sweep and a cold two-phase sweep of the same plan
-// produce identical structured results — at Jobs=1 and Jobs=8, and the
-// two worker counts agree with each other.
+// sweepGrid is a TLB sweep grid over two workloads and two policies —
+// four (workload, policy) families — with dim applied at each size.
+func sweepGrid(t *testing.T, dim string, sizes ...int) (config.Config, []Cell) {
+	t.Helper()
+	h := tiny(t)
+	h.AppNames = []string{"NW", "CONS"}
+	var cells []Cell
+	for _, size := range sizes {
+		cfg := h.Cfg
+		mustSweepDim(dim).Apply(&cfg, size)
+		cfg.ClampTLBWays()
+		for _, wl := range h.homogeneous(2) {
+			for _, p := range []core.Policy{core.GPUMMU4K, core.Mosaic} {
+				cells = append(cells, Cell{wl, cfg, sim.Options{Policy: p, Seed: h.Seed}})
+			}
+		}
+	}
+	return h.Cfg, cells
+}
+
+// coldCells runs every cell's two-phase plan from scratch — the
+// reference a forked grid must reproduce.
+func coldCells(t *testing.T, base config.Config, warmup uint64, cells []Cell) []sim.Results {
+	t.Helper()
+	out := make([]sim.Results, len(cells))
+	for i, c := range cells {
+		r, err := sim.RunTwoPhase(nil, base, c.Workload, twoPhase(c.Options, warmup), c.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// TestSweepWarmupForkedMatchesCold: RunCells forks every cell of a
+// forkable grid from one snapshot per family, and each forked result
+// equals the cell's cold two-phase run, at Jobs=1 and Jobs=8.
 func TestSweepWarmupForkedMatchesCold(t *testing.T) {
 	const warmup = 10_000
-	forked1 := sweepHarness(t, 1, warmup, false).Fig14L1(2, 16, 128)
-	forked8 := sweepHarness(t, 8, warmup, false).Fig14L1(2, 16, 128)
-	cold1 := sweepHarness(t, 1, warmup, true).Fig14L1(2, 16, 128)
-	cold8 := sweepHarness(t, 8, warmup, true).Fig14L1(2, 16, 128)
-
-	if !reflect.DeepEqual(forked1, cold1) {
-		t.Errorf("forked sweep differs from cold two-phase sweep:\n%+v\n%+v", forked1, cold1)
-	}
-	if !reflect.DeepEqual(forked1, forked8) {
-		t.Errorf("forked sweep differs between Jobs=1 and Jobs=8:\n%+v\n%+v", forked1, forked8)
-	}
-	if !reflect.DeepEqual(cold1, cold8) {
-		t.Errorf("cold two-phase sweep differs between Jobs=1 and Jobs=8:\n%+v\n%+v", cold1, cold8)
+	base, cells := sweepGrid(t, "l1base", 16, 128)
+	cold := coldCells(t, base, warmup, cells)
+	for _, jobs := range []int{1, 8} {
+		forked, err := RunCells(jobs, base, warmup, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cells {
+			if !reflect.DeepEqual(forked[i], cold[i]) {
+				t.Errorf("jobs=%d cell %d (%s/%v): forked result differs from cold two-phase run:\n%+v\n%+v",
+					jobs, i, cells[i].Workload.Name, cells[i].Options.Policy, forked[i], cold[i])
+			}
+		}
 	}
 }
 
 // TestSweepWarmupRecordsMatch extends the forked-vs-cold guarantee to
-// the collected RunRecords — the exported representation CI diffs. The
-// comparison is on serialized bytes, the same form mosaic-report sees.
+// the exported RunRecords, compared as the serialized bytes CI diffs.
 func TestSweepWarmupRecordsMatch(t *testing.T) {
 	const warmup = 10_000
-	collect := func(cold bool) []byte {
-		h := sweepHarness(t, 8, warmup, cold)
-		fig := h.CollectFigure("fig15a", func() metrics.Table {
-			return h.Fig15L1(2, 4, 64).Table
-		})
-		b, err := json.MarshalIndent(fig, "", "  ")
+	base, cells := sweepGrid(t, "l1large", 4, 64)
+	records := func(results []sim.Results) []byte {
+		recs := make([]metrics.RunRecord, len(results))
+		for i, r := range results {
+			recs[i] = metrics.NewRunRecord(r)
+		}
+		b, err := json.MarshalIndent(recs, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	forked := collect(false)
-	cold := collect(true)
-	if string(forked) != string(cold) {
-		t.Errorf("forked sweep records differ from cold two-phase records:\nforked:\n%s\ncold:\n%s", forked, cold)
+	cold := records(coldCells(t, base, warmup, cells))
+	for _, jobs := range []int{1, 8} {
+		forked, err := RunCells(jobs, base, warmup, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := records(forked); !bytes.Equal(got, cold) {
+			t.Errorf("jobs=%d: forked records differ from cold two-phase records:\nforked:\n%s\ncold:\n%s", jobs, got, cold)
+		}
 	}
 }
 
@@ -69,11 +111,11 @@ func TestSweepWarmupRecordsMatch(t *testing.T) {
 // sweep (warmup > 0) is a different run plan than a plain sweep, so
 // their records must not collide in digest-keyed caches.
 func TestSweepWarmupChangesDigests(t *testing.T) {
-	warm := sweepHarness(t, 0, 10_000, false)
+	warm := sweepHarness(t, 0, 10_000)
 	figWarm := warm.CollectFigure("fig15a", func() metrics.Table {
 		return warm.Fig15L1(2, 4).Table
 	})
-	plain := sweepHarness(t, 0, 0, false)
+	plain := sweepHarness(t, 0, 0)
 	figPlain := plain.CollectFigure("fig15a", func() metrics.Table {
 		return plain.Fig15L1(2, 4).Table
 	})

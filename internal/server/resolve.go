@@ -21,11 +21,9 @@ import (
 type Plan struct {
 	// Req is the request the plan was resolved from.
 	Req RunRequest
-	// Workload, Config and Options are what the simulation runs:
-	// sim.New(Config, Workload, Options).
-	Workload workload.Workload
-	Config   config.Config
-	Options  sim.Options
+	// Cell is what the simulation runs: sim.New(Config, Workload,
+	// Options), or a sweep grid's cell in harness.RunCells.
+	harness.Cell
 	// Key is the result identity triple; Key.ConfigDigest is the digest
 	// Run stamps into the Results.
 	Key store.Key
@@ -51,6 +49,9 @@ func Resolve(base func() config.Config, req RunRequest) (Plan, error) {
 	}
 	if req.Oversub < 0 {
 		return Plan{}, fmt.Errorf("oversub must be non-negative")
+	}
+	if req.Scale < 0 {
+		return Plan{}, fmt.Errorf("scale must be non-negative")
 	}
 	specs := make([]workload.Spec, 0, len(req.Apps))
 	names := make([]string, 0, len(req.Apps))
@@ -112,11 +113,9 @@ func Resolve(base func() config.Config, req RunRequest) (Plan, error) {
 		return Plan{}, fmt.Errorf("%d apps exceed %d SMs", len(wl.Apps), cfg.NumSMs)
 	}
 	return Plan{
-		Req:      req,
-		Workload: wl,
-		Config:   cfg,
-		Options:  opt,
-		Key:      store.Key{Workload: wl.Name, Policy: policy.String(), ConfigDigest: sim.Digest(cfg, opt)},
+		Req:  req,
+		Cell: harness.Cell{Workload: wl, Config: cfg, Options: opt},
+		Key:  store.Key{Workload: wl.Name, Policy: policy.String(), ConfigDigest: sim.Digest(cfg, opt)},
 	}, nil
 }
 

@@ -384,6 +384,7 @@ func TestRequestValidation(t *testing.T) {
 		{"bad frag", `{"Apps":["SCP"],"FragIndex":1.5}`},
 		{"unknown field", `{"Apps":["SCP"],"Bogus":1}`},
 		{"negative shards", `{"Apps":["SCP"],"Shards":-1}`},
+		{"negative scale", `{"Apps":["SCP"],"Scale":-5}`},
 		{"too many apps", `{"Apps":[` + strings.Repeat(`"SCP",`, 99) + `"SCP"]}`},
 	}
 	for _, tc := range cases {

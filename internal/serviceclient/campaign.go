@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -183,4 +184,31 @@ func (c *Client) RunCampaign(ctx context.Context, req server.CampaignRequest) ([
 		}
 	}
 	return events, nil
+}
+
+// RunCampaignRecords runs a campaign through RunCampaign and returns its
+// RunRecords, exactly one per cell, in grid order. A cell that is not
+// done, or whose result is not a one-run report, is an error naming the
+// cell's index, workload and policy.
+func (c *Client) RunCampaignRecords(ctx context.Context, req server.CampaignRequest) ([]metrics.RunRecord, error) {
+	events, err := c.RunCampaign(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]metrics.RunRecord, len(events))
+	for i, ev := range events {
+		cell := fmt.Sprintf("serviceclient: cell %d (%s, %s)", i, ev.Workload, ev.Policy)
+		if ev.State != server.JobDone {
+			return nil, fmt.Errorf("%s: %s %s", cell, ev.State, ev.Error)
+		}
+		rep, err := metrics.ReadReport(bytes.NewReader(ev.Result))
+		if err != nil {
+			return nil, fmt.Errorf("%s: parsing result: %w", cell, err)
+		}
+		if len(rep.Figures) != 1 || len(rep.Figures[0].Runs) != 1 {
+			return nil, fmt.Errorf("%s: malformed result report", cell)
+		}
+		recs[i] = rep.Figures[0].Runs[0]
+	}
+	return recs, nil
 }

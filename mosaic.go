@@ -8,7 +8,8 @@
 // memory managers the paper evaluates:
 //
 //   - GPUMMU4K — the state-of-the-art baseline with 4KB pages only;
-//   - GPUMMU2M — memory managed exclusively at 2MB granularity;
+//   - gpummu-2mb — memory managed exclusively at 2MB granularity
+//     (selected by name through ParsePolicy);
 //   - Mosaic   — CoCoA + the In-Place Coalescer + CAC (the paper's
 //     contribution);
 //   - IdealTLB — an upper bound where every translation hits.
@@ -27,7 +28,6 @@ package mosaic
 import (
 	"io"
 
-	"repro/internal/alloc"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -61,10 +61,10 @@ func FastTestConfig() Config { return config.FastTest() }
 // Policy selects a memory manager.
 type Policy = core.Policy
 
-// The four evaluated memory managers.
+// Three of the four evaluated memory managers; the 2MB-only manager is
+// ParsePolicy("gpummu-2mb").
 const (
 	GPUMMU4K = core.GPUMMU4K
-	GPUMMU2M = core.GPUMMU2M
 	Mosaic   = core.Mosaic
 	IdealTLB = core.IdealTLB
 )
@@ -80,9 +80,6 @@ type (
 	// RunRecord.Policy and the ConfigDigest), wire name (flags/API),
 	// option derivation, and optional seam-component overrides.
 	PolicySpec = core.PolicySpec
-	// PolicyComponents is one policy's composition across the seams;
-	// nil fields fall back to the option-derived defaults.
-	PolicyComponents = core.Components
 	// PlacementPolicy decides whole-frame vs base-page backing.
 	PlacementPolicy = core.PlacementPolicy
 	// CoalescePolicy decides large-page promotion and compaction.
@@ -127,20 +124,6 @@ func ParsePolicyList(s string) ([]NamedPolicy, error) { return harness.ParsePoli
 // PolicyNames returns the registered wire names in registration order.
 func PolicyNames() []string { return core.PolicyNames() }
 
-// LookupPolicy returns the registered spec for a policy id.
-func LookupPolicy(p Policy) (PolicySpec, bool) { return core.LookupPolicy(p) }
-
-// DefaultPolicyComponents derives the component set a ManagerOptions
-// value describes — the building blocks custom policies override
-// piecemeal.
-func DefaultPolicyComponents(opt ManagerOptions) PolicyComponents {
-	return core.DefaultComponents(opt)
-}
-
-// NewLRUResidency returns the default least-recently-used residency
-// policy.
-func NewLRUResidency() ResidencyPolicy { return core.NewLRUResidency() }
-
 // ManagerOptions exposes the full memory-manager option set, including
 // the ablation knobs (migrating coalescer, forced TLB flush on coalesce,
 // CAC variants). Use SimOptions.MutateManager to adjust them per run.
@@ -149,7 +132,6 @@ type ManagerOptions = core.Options
 // CAC (Contiguity-Aware Compaction) variants (§6.4).
 const (
 	CACOff      = core.CACOff
-	CACOn       = core.CACOn
 	CACBulkCopy = core.CACBulkCopy
 	CACIdeal    = core.CACIdeal
 )
@@ -157,7 +139,6 @@ const (
 // Coalescing modes, including the migrate-then-coalesce ablation of the
 // conventional design (Fig. 6a).
 const (
-	CoalesceOff     = core.CoalesceOff
 	CoalesceInPlace = core.CoalesceInPlace
 	CoalesceMigrate = core.CoalesceMigrate
 )
@@ -212,12 +193,6 @@ type SimOptions = sim.Options
 // rates in [0, 1], every component's counters, and a ConfigDigest
 // identifying exactly which configuration produced them.
 type Results = sim.Results
-
-// AppResult reports one application's outcome within a run. IPC is
-// instructions per cycle over the application's own runtime;
-// FinishCycle is in simulated cycles; BloatPct is physical memory
-// allocated beyond 4KB needs, in percent.
-type AppResult = sim.AppResult
 
 // Run executes one workload under the given policy and returns the
 // results (cycles, per-app IPC, TLB hit rates, component statistics).
@@ -289,39 +264,20 @@ func NewQuickHarness(cfg Config) *Harness { return harness.NewQuick(cfg) }
 type (
 	// Fig3Result is the page-size translation study of Figure 3.
 	Fig3Result = harness.Fig3Result
-	// Fig4Result is the demand-paging concurrency study of Figure 4.
-	Fig4Result = harness.Fig4Result
 	// BloatResult is the §3.2 memory-bloat study.
 	BloatResult = harness.BloatResult
 	// SpeedupResult is a weighted-speedup study (Figures 8 and 9).
 	SpeedupResult = harness.SpeedupResult
-	// Fig10Result is the selected-pairs study of Figure 10.
-	Fig10Result = harness.Fig10Result
 	// Fig11Result is the per-application IPC distribution of Figure 11.
 	Fig11Result = harness.Fig11Result
-	// Fig12Result is the demand-paging comparison of Figure 12.
-	Fig12Result = harness.Fig12Result
-	// Fig13Result is the TLB hit-rate study of Figure 13.
-	Fig13Result = harness.Fig13Result
-	// SweepResult is a TLB-size sensitivity sweep (Figures 14 and 15).
-	SweepResult = harness.SweepResult
-	// Fig16Result is a CAC fragmentation stress study.
-	Fig16Result = harness.Fig16Result
-	// Table2Result is the bloat-vs-occupancy study of Table 2.
-	Table2Result = harness.Table2Result
 	// OversubResult is the memory-oversubscription study: IPC retained
 	// by each manager under a bounded resident page pool.
 	OversubResult = harness.OversubResult
 )
 
-// Physical allocation policies (for ablations via ManagerOptions).
-const (
-	// AllocBaseline is the shared-cursor allocator of Fig. 1a that mixes
-	// applications within large frames.
-	AllocBaseline = core.AllocBaseline
-	// AllocCoCoA is Mosaic's contiguity-conserving allocator.
-	AllocCoCoA = core.AllocCoCoA
-)
+// AllocBaseline is the shared-cursor allocator of Fig. 1a that mixes
+// applications within large frames (for ablations via ManagerOptions).
+const AllocBaseline = core.AllocBaseline
 
 // Structured export layer: run records, versioned reports, and report
 // diffing. See docs/RESULTS_SCHEMA.md for the serialized schema and its
@@ -341,10 +297,6 @@ type (
 	// WriteCSV are byte-deterministic: the same experiment serializes
 	// to identical bytes for every Harness.Jobs value.
 	Report = metrics.Report
-	// Collector accumulates RunRecords from concurrent simulations and
-	// returns them in a canonical order independent of completion
-	// order. Safe for concurrent use.
-	Collector = metrics.Collector
 	// DiffOptions tunes report comparison; Tol is a relative tolerance
 	// for numeric cells and derived floats (counters compare exactly).
 	DiffOptions = metrics.DiffOptions
@@ -353,10 +305,6 @@ type (
 // SchemaVersion is the version stamped into every exported Report; it
 // increments only when a field is removed, renamed, or changes meaning.
 const SchemaVersion = metrics.SchemaVersion
-
-// NewCollector returns an empty run-record collector, ready to assign to
-// Harness.Collect.
-func NewCollector() *Collector { return metrics.NewCollector() }
 
 // NewRunRecord converts one simulation result into its export record.
 func NewRunRecord(res Results) RunRecord { return metrics.NewRunRecord(res) }
@@ -386,8 +334,6 @@ type (
 	// ManagerStats counts memory-manager events (coalesces, splinters,
 	// compactions, migrations, far-faults).
 	ManagerStats = core.Stats
-	// AllocStats counts physical allocator activity.
-	AllocStats = alloc.Stats
 )
 
 // Simulation service layer: mosaicd (cmd/mosaicd) serves the simulator
@@ -406,22 +352,13 @@ type (
 	RunRequest = server.RunRequest
 	// JobStatus reports a submitted run's lifecycle state.
 	JobStatus = server.JobStatus
-	// JobState is the lifecycle: queued → running → done | failed |
-	// canceled.
-	JobState = server.JobState
 	// ServiceClient submits, polls, cancels, and fetches runs from a
 	// mosaicd instance.
 	ServiceClient = serviceclient.Client
 )
 
-// Job lifecycle states.
-const (
-	JobQueued   = server.JobQueued
-	JobRunning  = server.JobRunning
-	JobDone     = server.JobDone
-	JobFailed   = server.JobFailed
-	JobCanceled = server.JobCanceled
-)
+// JobDone is the terminal state of a run that finished and has a result.
+const JobDone = server.JobDone
 
 // Typed service-client errors, for errors.Is against ServiceClient
 // results.
@@ -467,19 +404,11 @@ type (
 // of docs/RESULTS_SCHEMA.md. Daemons pointed at one disk root share
 // results; see docs/SERVICE.md for the on-disk format.
 type (
-	// ResultStore is the pluggable persistence interface
-	// (mosaicd -store).
-	ResultStore = store.ResultStore
 	// ResultKey is the identity triple a stored result files under.
 	ResultKey = store.Key
-	// MemStore is the process-local in-memory store (the default).
-	MemStore = store.Mem
 	// DiskStore is the content-addressed on-disk store daemons share.
 	DiskStore = store.Disk
 )
-
-// NewMemStore returns an empty in-memory result store.
-func NewMemStore() *MemStore { return store.NewMem() }
 
 // NewDiskStore opens (creating if needed) a disk-backed result store
 // rooted at dir.
