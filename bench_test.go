@@ -300,15 +300,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
 }
 
-// ---- Sim-core microbenchmarks (BENCH_simcore.json) ----
+// ---- Sim-core microbenchmarks ----
 //
-// The BenchmarkSimCore* family isolates the simulated-cycle hot paths the
-// engine overhaul targets: the per-cycle warp issue loop, the TLB/cache
-// translate+data path, and demand-paging event-queue churn. Before/after
-// numbers are recorded in BENCH_simcore.json; the pure event-queue micro
-// lives in internal/event (BenchmarkSimCoreEventQueue*) and the
-// allocation-counting access-path micro in internal/sim
-// (BenchmarkSimCoreMemAccess).
+// The BenchmarkSimCore* family isolates the simulated-cycle hot paths:
+// the per-cycle warp issue loop, the TLB/cache translate+data path, and
+// demand-paging event-queue churn. They are for measuring while working
+// on one path; measured end-to-end and per-layer numbers come from the
+// repository benchmark, perfbench/ (`bash perfbench/run.sh --workload W
+// --steady N --against DIR` for an interleaved before/after on one host).
+// The pure event-queue micro lives in internal/event
+// (BenchmarkSimCoreEventQueue*) and the allocation-counting access-path
+// micro in internal/sim (BenchmarkSimCoreMemAccess).
 
 // BenchmarkSimCoreIssueLoop stresses the warp scheduler: the ideal TLB
 // bypasses translation and demand paging is off, so nearly all time goes

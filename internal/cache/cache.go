@@ -52,9 +52,13 @@ type Cache struct {
 	tick      uint64
 	stats     Stats
 
-	// mshr maps a line address to the completion callbacks of all
-	// requests waiting on that line's fill.
-	mshr map[uint64][]func(cycle uint64)
+	// mshr maps a line address to its slot in waiters, which holds the
+	// completion callbacks of all requests waiting on that line's fill.
+	// Slots and their slices are reused through free, so a warm cache
+	// tracks misses without allocating.
+	mshr    map[uint64]int32
+	waiters [][]func(cycle uint64)
+	free    []int32
 }
 
 // New builds a cache with the given total capacity in bytes.
@@ -79,7 +83,7 @@ func New(name string, totalBytes, lineSize, ways int) (*Cache, error) {
 		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		lines:     make([]line, sets*ways),
-		mshr:      make(map[uint64][]func(uint64)),
+		mshr:      make(map[uint64]int32),
 	}, nil
 }
 
@@ -97,7 +101,9 @@ func MustNew(name string, totalBytes, lineSize, ways int) *Cache {
 // stats. It requires the MSHRs to be empty (no outstanding misses): MSHR
 // entries hold completion closures bound to the source simulator and
 // cannot be transplanted. Callers snapshot only quiesced simulations, so a
-// non-empty MSHR table is a programming error and Clone panics.
+// non-empty MSHR table is a programming error and Clone panics. The cache
+// binds no callbacks of its own, so nothing is re-bound: the clone starts
+// with an empty MSHR table and waiter slab that grow on first use.
 func (c *Cache) Clone() *Cache {
 	if len(c.mshr) != 0 {
 		panic(fmt.Sprintf("cache %s: Clone with %d outstanding MSHR entries", c.name, len(c.mshr)))
@@ -105,7 +111,8 @@ func (c *Cache) Clone() *Cache {
 	nc := *c
 	nc.lines = make([]line, len(c.lines))
 	copy(nc.lines, c.lines)
-	nc.mshr = make(map[uint64][]func(uint64))
+	nc.mshr = make(map[uint64]int32)
+	nc.waiters, nc.free = nil, nil
 	return &nc
 }
 
@@ -205,31 +212,52 @@ func (c *Cache) Invalidate(a vmem.PhysAddr) bool {
 // coalesced into an existing MSHR entry.
 func (c *Cache) TrackMiss(a vmem.PhysAddr, done func(cycle uint64)) (isFirst bool) {
 	la := c.LineAddr(a)
-	waiters, exists := c.mshr[la]
-	c.mshr[la] = append(waiters, done)
-	if exists {
+	if slot, exists := c.mshr[la]; exists {
+		c.waiters[slot] = append(c.waiters[slot], done)
 		c.stats.Coalesced++
 		// The earlier Lookup already counted this as a miss; reclassify.
 		c.stats.Misses--
+		return false
 	}
+	var slot int32
+	if n := len(c.free); n > 0 {
+		slot = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		slot = int32(len(c.waiters))
+		c.waiters = append(c.waiters, nil)
+	}
+	c.waiters[slot] = append(c.waiters[slot], done)
+	c.mshr[la] = slot
 	if n := len(c.mshr); n > c.stats.MaxInFlight {
 		c.stats.MaxInFlight = n
 	}
-	return !exists
+	return true
 }
 
 // CompleteMiss fills the line for a and fires every waiter registered via
-// TrackMiss, in registration order.
+// TrackMiss, in registration order. The line's MSHR entry is gone before
+// the first waiter runs, so a waiter that misses on the same line starts
+// a new entry.
 func (c *Cache) CompleteMiss(a vmem.PhysAddr, cycle uint64) {
 	la := c.LineAddr(a)
 	c.Fill(a)
-	waiters := c.mshr[la]
+	slot, ok := c.mshr[la]
+	if !ok {
+		return
+	}
 	delete(c.mshr, la)
+	// The slot is not free yet, so waiters that track new misses cannot
+	// reuse this slice while it is being read.
+	waiters := c.waiters[slot]
 	for _, w := range waiters {
 		if w != nil {
 			w(cycle)
 		}
 	}
+	clear(waiters) // release the callback references
+	c.waiters[slot] = waiters[:0]
+	c.free = append(c.free, slot)
 }
 
 // InFlight returns the number of outstanding MSHR entries.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -187,5 +188,58 @@ func TestFillThenLookupProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMSHRAllocFree guards the miss-tracking path: once the waiter slab
+// is warm, tracking primary and coalesced misses and completing them
+// allocates nothing.
+func TestMSHRAllocFree(t *testing.T) {
+	c := MustNew("l2", 2<<20, 128, 16)
+	done := func(uint64) {}
+	round := func() {
+		for i := 0; i < 16; i++ {
+			a := vmem.PhysAddr(i%8) * 4096
+			c.Lookup(a)
+			c.TrackMiss(a, done)
+		}
+		for i := 0; i < 8; i++ {
+			c.CompleteMiss(vmem.PhysAddr(i)*4096, 1)
+			c.Invalidate(vmem.PhysAddr(i) * 4096)
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("TrackMiss/CompleteMiss allocates %.1f objects per round, want 0", avg)
+	}
+	if c.InFlight() != 0 {
+		t.Fatalf("InFlight = %d after every miss completed", c.InFlight())
+	}
+}
+
+// TestMSHRWaiterTracksSameLine: a waiter that misses on the line being
+// completed starts a fresh MSHR entry, and the waiters still pending on
+// the completing entry all fire, in order, exactly once.
+func TestMSHRWaiterTracksSameLine(t *testing.T) {
+	c := MustNew("l2", 2<<20, 128, 16)
+	var fired []string
+	again := func(uint64) { fired = append(fired, "again") }
+	c.TrackMiss(0x1000, func(uint64) {
+		fired = append(fired, "a")
+		if !c.TrackMiss(0x1000, again) {
+			t.Error("miss tracked during completion should start a new entry")
+		}
+	})
+	c.TrackMiss(0x1000, func(uint64) { fired = append(fired, "b") })
+	c.CompleteMiss(0x1000, 5)
+	if got := strings.Join(fired, ","); got != "a,b" {
+		t.Fatalf("first completion fired %s, want a,b", got)
+	}
+	if c.InFlight() != 1 {
+		t.Fatalf("InFlight = %d, want the re-tracked entry", c.InFlight())
+	}
+	c.CompleteMiss(0x1000, 9)
+	if got := strings.Join(fired, ","); got != "a,b,again" {
+		t.Fatalf("second completion fired %s, want a,b,again", got)
 	}
 }

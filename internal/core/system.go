@@ -338,13 +338,13 @@ func (s *System) app(asid vmem.ASID) (*appState, error) {
 
 // ---- walker.TableSet ----
 
-// WalkAddrs implements walker.TableSet.
-func (s *System) WalkAddrs(asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr {
+// WalkAddrs implements walker.TableSet. An unknown ASID appends nothing.
+func (s *System) WalkAddrs(dst []vmem.PhysAddr, asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr {
 	a, err := s.app(asid)
 	if err != nil {
-		return nil
+		return dst
 	}
-	return a.table.WalkAddrs(va)
+	return a.table.WalkAddrs(dst, va)
 }
 
 // Translate implements walker.TableSet.

@@ -480,7 +480,7 @@ func TestWalkAddrsThroughSystem(t *testing.T) {
 	r := newRig(t, Mosaic, nil)
 	r.sys.RegisterApp(1)
 	r.sys.AllocVirtual(0, 1, 0, 2<<20)
-	addrs := r.sys.WalkAddrs(1, 0x1000)
+	addrs := r.sys.WalkAddrs(nil, 1, 0x1000)
 	if len(addrs) != 4 {
 		t.Errorf("walk depth = %d, want 4", len(addrs))
 	}
@@ -491,7 +491,7 @@ func TestWalkAddrsThroughSystem(t *testing.T) {
 			t.Errorf("PTE address %v outside reserved region", a)
 		}
 	}
-	if r.sys.WalkAddrs(99, 0) != nil {
+	if r.sys.WalkAddrs(nil, 99, 0) != nil {
 		t.Error("walk addrs for unknown app should be nil")
 	}
 }

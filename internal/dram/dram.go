@@ -3,10 +3,13 @@
 // request scheduler per channel, and the in-DRAM bulk-copy primitive
 // (RowClone/LISA) that the CAC-BC compaction variant exploits.
 //
-// The model is event-driven: requests enqueue with a completion callback,
-// the per-channel scheduler dispatches them to free banks preferring
-// row-buffer hits over older requests (first-ready, first-come
-// first-served), and the channel data bus serializes transfers.
+// The model is event-driven: requests enqueue with a completion callback
+// into their bank's FIFO, the per-channel scheduler dispatches them to
+// free banks preferring row-buffer hits over older requests (first-ready,
+// first-come first-served), and the channel data bus serializes
+// transfers. Scheduling touches only the target bank's queue, and the
+// scheduler's own callbacks are bound once per channel and bank, so a
+// request costs no allocation once the queues are warm.
 package dram
 
 import (
@@ -25,9 +28,7 @@ type Request struct {
 	// Done is invoked at the cycle the data burst completes. It may be nil.
 	Done func(cycle uint64)
 
-	enqueued uint64
-	bank     int
-	row      uint64
+	row uint64
 }
 
 // Stats aggregates DRAM activity counters.
@@ -56,16 +57,25 @@ func (s Stats) RowHitRate() float64 {
 type bank struct {
 	openRow   uint64
 	busyUntil uint64
+	// queue holds the bank's waiting requests in arrival order, so the
+	// first row hit is the oldest one.
+	queue []Request
 	// retryQueued dedups wake-up events: at most one pending dispatch
 	// retry per bank, or queue pressure makes event counts explode.
 	retryQueued bool
+	retryFn     event.Func // bound to this bank and its owning DRAM
 }
 
 type channel struct {
-	banks   []bank
-	queue   []*Request
-	busFree uint64
+	banks      []bank
+	queued     int // requests waiting across all banks
+	busFree    uint64
+	dispatchFn event.Func // bound to this channel and its owning DRAM
 }
+
+// noop stands in for a nil Request.Done, so every serviced request
+// schedules exactly one completion event.
+func noop(uint64) {}
 
 // DRAM is the whole off-chip memory system.
 type DRAM struct {
@@ -90,7 +100,24 @@ func New(cfg config.Config, q *event.Queue) *DRAM {
 			ch.banks[b].openRow = noOpenRow
 		}
 	}
+	d.bindCallbacks()
 	return d
+}
+
+// bindCallbacks binds each channel's dispatch and each bank's retry
+// callback to d. They are built once here rather than per request.
+func (d *DRAM) bindCallbacks() {
+	for i := range d.channels {
+		ch, ci := &d.channels[i], i
+		ch.dispatchFn = func(cycle uint64) { d.dispatch(ci, cycle) }
+		for b := range ch.banks {
+			bp := &ch.banks[b]
+			bp.retryFn = func(cycle uint64) {
+				bp.retryQueued = false
+				d.dispatch(ci, cycle)
+			}
+		}
+	}
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -101,27 +128,31 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // no queued requests and no pending dispatch retries, since both hold
 // closures bound to the source simulator. Open-row state, bus-free times,
 // and stats (including the per-channel access counts) are duplicated so
-// the clone's timing picks up exactly where the source's left off. Clone
+// the clone's timing picks up exactly where the source's left off. The
+// per-channel dispatch and per-bank retry callbacks capture their owning
+// DRAM, so the clone binds its own; the bank queues start empty. Clone
 // panics if the model is not quiescent; callers drain first.
 func (d *DRAM) Clone(q *event.Queue) *DRAM {
 	nd := &DRAM{cfg: d.cfg, q: q, channels: make([]channel, len(d.channels))}
 	for i := range d.channels {
 		ch := &d.channels[i]
-		if len(ch.queue) != 0 {
-			panic(fmt.Sprintf("dram: Clone with %d queued requests on channel %d", len(ch.queue), i))
+		if ch.queued != 0 {
+			panic(fmt.Sprintf("dram: Clone with %d queued requests on channel %d", ch.queued, i))
 		}
 		nch := &nd.channels[i]
 		nch.busFree = ch.busFree
 		nch.banks = make([]bank, len(ch.banks))
-		copy(nch.banks, ch.banks)
 		for b := range ch.banks {
 			if ch.banks[b].retryQueued {
 				panic(fmt.Sprintf("dram: Clone with retry pending on channel %d bank %d", i, b))
 			}
+			nch.banks[b].openRow = ch.banks[b].openRow
+			nch.banks[b].busyUntil = ch.banks[b].busyUntil
 		}
 	}
 	nd.stats = d.stats
 	nd.stats.ChannelAccesses = append([]uint64(nil), d.stats.ChannelAccesses...)
+	nd.bindCallbacks()
 	return nd
 }
 
@@ -166,13 +197,13 @@ func (d *DRAM) decompose(addr vmem.PhysAddr) (chanIdx, bankIdx int, row uint64) 
 // data burst finishes on the channel bus.
 func (d *DRAM) Enqueue(now uint64, r Request) {
 	chanIdx, bankIdx, row := d.decompose(r.Addr)
-	r.enqueued = now
-	r.bank = bankIdx
 	r.row = row
 	ch := &d.channels[chanIdx]
-	ch.queue = append(ch.queue, &r)
-	if len(ch.queue) > d.stats.MaxQueueLen {
-		d.stats.MaxQueueLen = len(ch.queue)
+	b := &ch.banks[bankIdx]
+	b.queue = append(b.queue, r)
+	ch.queued++
+	if ch.queued > d.stats.MaxQueueLen {
+		d.stats.MaxQueueLen = ch.queued
 	}
 	d.dispatch(chanIdx, now)
 }
@@ -184,55 +215,42 @@ func (d *DRAM) dispatch(chanIdx int, now uint64) {
 	ch := &d.channels[chanIdx]
 	for bankIdx := range ch.banks {
 		b := &ch.banks[bankIdx]
+		if len(b.queue) == 0 {
+			continue
+		}
 		if b.busyUntil > now {
-			// Retry once the bank frees, if it has queued work.
-			if !b.retryQueued && d.hasWork(ch, bankIdx) {
+			// Retry once the bank frees.
+			if !b.retryQueued {
 				b.retryQueued = true
-				at, ci, bp := b.busyUntil, chanIdx, b
-				d.q.Schedule(at, func(cycle uint64) {
-					bp.retryQueued = false
-					d.dispatch(ci, cycle)
-				})
+				d.q.Schedule(b.busyUntil, b.retryFn)
 			}
 			continue
 		}
-		req, pos := d.pick(ch, bankIdx, b.openRow)
-		if req == nil {
-			continue
-		}
-		ch.queue = append(ch.queue[:pos], ch.queue[pos+1:]...)
-		d.service(chanIdx, bankIdx, req, now)
+		pos := pick(b.queue, b.openRow)
+		r := b.queue[pos]
+		copy(b.queue[pos:], b.queue[pos+1:])
+		b.queue[len(b.queue)-1] = Request{} // release the callback reference
+		b.queue = b.queue[:len(b.queue)-1]
+		ch.queued--
+		d.service(chanIdx, bankIdx, r, now)
 	}
 }
 
-func (d *DRAM) hasWork(ch *channel, bankIdx int) bool {
-	for _, r := range ch.queue {
-		if r.bank == bankIdx {
-			return true
+// pick returns the index of the FR-FCFS choice in a bank's non-empty
+// queue: the oldest request targeting the open row, else the oldest
+// request.
+func pick(queue []Request, openRow uint64) int {
+	if openRow != noOpenRow {
+		for i := range queue {
+			if queue[i].row == openRow {
+				return i // queue order == age order, so first hit is oldest hit
+			}
 		}
 	}
-	return false
+	return 0
 }
 
-// pick returns the FR-FCFS choice among queued requests for bankIdx: the
-// oldest request targeting the open row, else the oldest request.
-func (d *DRAM) pick(ch *channel, bankIdx int, openRow uint64) (*Request, int) {
-	oldest, oldestPos := (*Request)(nil), -1
-	for i, r := range ch.queue {
-		if r.bank != bankIdx {
-			continue
-		}
-		if openRow != noOpenRow && r.row == openRow {
-			return r, i // queue order == age order, so first hit is oldest hit
-		}
-		if oldest == nil {
-			oldest, oldestPos = r, i
-		}
-	}
-	return oldest, oldestPos
-}
-
-func (d *DRAM) service(chanIdx, bankIdx int, r *Request, now uint64) {
+func (d *DRAM) service(chanIdx, bankIdx int, r Request, now uint64) {
 	ch := &d.channels[chanIdx]
 	b := &ch.banks[bankIdx]
 
@@ -259,15 +277,13 @@ func (d *DRAM) service(chanIdx, bankIdx int, r *Request, now uint64) {
 	b.busyUntil = now + busy
 	d.stats.BusyCycles += burst
 
-	dn := r.Done
-	d.q.Schedule(done, func(cycle uint64) {
-		if dn != nil {
-			dn(cycle)
-		}
-	})
+	if r.Done != nil {
+		d.q.Schedule(done, r.Done)
+	} else {
+		d.q.Schedule(done, noop)
+	}
 	// The bank frees at `ready`; try to dispatch more work then.
-	ci := chanIdx
-	d.q.Schedule(ready, func(cycle uint64) { d.dispatch(ci, cycle) })
+	d.q.Schedule(ready, ch.dispatchFn)
 }
 
 // CopyPageBulk performs a RowClone/LISA-style in-DRAM copy of one 4KB base
@@ -321,7 +337,7 @@ func (d *DRAM) CopyPageNarrow(now uint64, src, dst vmem.PhysAddr, done func(cycl
 func (d *DRAM) PendingRequests() int {
 	n := 0
 	for i := range d.channels {
-		n += len(d.channels[i].queue)
+		n += d.channels[i].queued
 	}
 	return n
 }

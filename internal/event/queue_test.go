@@ -124,7 +124,7 @@ func TestOrderingProperty(t *testing.T) {
 	}
 }
 
-// ---- Sim-core microbenchmarks (see BENCH_simcore.json) ----
+// ---- Sim-core microbenchmarks (end-to-end numbers: perfbench/) ----
 
 // BenchmarkSimCoreEventQueue measures steady-state Schedule/RunDue churn:
 // a window of future events drained in cycle order, the simulator's
@@ -205,7 +205,7 @@ func TestEarlierCycleBeatsSameCycleFIFO(t *testing.T) {
 }
 
 // TestLenAndNextCycleDuringDrain: bookkeeping stays consistent while the
-// fast-path FIFO holds items.
+// bucket being drained holds items appended mid-drain.
 func TestLenAndNextCycleDuringDrain(t *testing.T) {
 	var q Queue
 	q.Schedule(3, func(at uint64) {
@@ -258,7 +258,7 @@ func join(ss []string) string {
 }
 
 // TestSeqCountsEverySchedule pins Seq as a determinism probe: it counts
-// every Schedule call (heap and same-cycle FIFO paths alike), survives
+// every Schedule call (heap and wheel alike), survives
 // RunDue, and CloneEmpty continues it — so two engine variants that
 // scheduled the same event stream always finish with equal Seq.
 func TestSeqCountsEverySchedule(t *testing.T) {
@@ -271,8 +271,8 @@ func TestSeqCountsEverySchedule(t *testing.T) {
 	if q.Seq() != 2 {
 		t.Fatalf("Seq = %d after 2 schedules, want 2", q.Seq())
 	}
-	// A callback scheduling same-cycle work uses the FIFO fast path —
-	// it must count too.
+	// A callback scheduling same-cycle work appends to the bucket being
+	// drained — it must count too.
 	q.Schedule(7, func(c uint64) { q.Schedule(c, func(uint64) {}) })
 	q.RunDue(7)
 	if q.Seq() != 4 {

@@ -258,29 +258,28 @@ func (pt *PageTable) Translate(va vmem.VirtAddr) (Translation, bool) {
 	return Translation{Frame: leaf.frame, Size: vmem.Base}, true
 }
 
-// WalkAddrs returns the physical addresses of the PTEs a hardware walk of
-// va reads, in order. A walk always touches all four levels: even for a
-// coalesced region the walker reads the large mapping out of the first L4
-// PTE (§4.3). The slice is freshly allocated.
-func (pt *PageTable) WalkAddrs(va vmem.VirtAddr) []vmem.PhysAddr {
-	addrs := make([]vmem.PhysAddr, 0, Levels)
+// WalkAddrs appends to dst the physical addresses of the PTEs a hardware
+// walk of va reads, in order, and returns the extended slice. A walk
+// always touches all four levels: even for a coalesced region the walker
+// reads the large mapping out of the first L4 PTE (§4.3). A walk reads at
+// most Levels entries, so a dst backed by a [Levels]vmem.PhysAddr array
+// never allocates.
+func (pt *PageTable) WalkAddrs(dst []vmem.PhysAddr, va vmem.VirtAddr) []vmem.PhysAddr {
 	n := pt.root
 	for level := 0; level < Levels-1; level++ {
-		addrs = append(addrs, entryAddr(n, va, level))
+		dst = append(dst, entryAddr(n, va, level))
 		idx := indexAt(va, level)
 		child := n.children[idx]
 		if child == nil {
-			return addrs
+			return dst
 		}
 		if level == Levels-2 && n.largeBit[idx] {
 			// Final read: the first PTE of the leaf table.
-			addrs = append(addrs, child.addr)
-			return addrs
+			return append(dst, child.addr)
 		}
 		n = child
 	}
-	addrs = append(addrs, entryAddr(n, va, Levels-1))
-	return addrs
+	return append(dst, entryAddr(n, va, Levels-1))
 }
 
 // CanCoalesce reports whether the 2MB region containing va satisfies the

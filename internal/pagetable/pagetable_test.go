@@ -214,7 +214,7 @@ func TestWalkAddrsDepth(t *testing.T) {
 	if err := pt.Map(0x1000, 0x2000); err != nil {
 		t.Fatal(err)
 	}
-	addrs := pt.WalkAddrs(0x1000)
+	addrs := pt.WalkAddrs(nil, 0x1000)
 	if len(addrs) != Levels {
 		t.Errorf("walk touched %d PTEs, want %d", len(addrs), Levels)
 	}
@@ -234,13 +234,13 @@ func TestWalkAddrsCoalescedStillFourAccesses(t *testing.T) {
 	if err := pt.Coalesce(0); err != nil {
 		t.Fatal(err)
 	}
-	addrs := pt.WalkAddrs(vmem.VirtAddr(100 * vmem.BasePageSize))
+	addrs := pt.WalkAddrs(nil, vmem.VirtAddr(100*vmem.BasePageSize))
 	if len(addrs) != Levels {
 		t.Errorf("coalesced walk touched %d PTEs, want %d (reads first L4 PTE)", len(addrs), Levels)
 	}
 	// The final access must be the first PTE of the leaf table, i.e. the
 	// same final address regardless of which base page we walk.
-	addrs2 := pt.WalkAddrs(vmem.VirtAddr(400 * vmem.BasePageSize))
+	addrs2 := pt.WalkAddrs(nil, vmem.VirtAddr(400*vmem.BasePageSize))
 	if addrs[len(addrs)-1] != addrs2[len(addrs2)-1] {
 		t.Error("coalesced walks should read the same first L4 PTE")
 	}
@@ -248,7 +248,7 @@ func TestWalkAddrsCoalescedStillFourAccesses(t *testing.T) {
 
 func TestWalkAddrsUnmappedShortens(t *testing.T) {
 	pt := newPT()
-	addrs := pt.WalkAddrs(0x1000)
+	addrs := pt.WalkAddrs(nil, 0x1000)
 	if len(addrs) != 1 {
 		t.Errorf("walk of empty table touched %d PTEs, want 1 (root only)", len(addrs))
 	}

@@ -271,8 +271,12 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.campaignsTotal.Add(1)
 	s.campaignsActive.Add(1)
 	s.campaignCells.Add(uint64(len(cells)))
+	// Read the status before the feeder starts: a fast feeder could
+	// otherwise finish every cell first, and the "accepted" reply would
+	// say the campaign is already done.
+	accepted := c.status()
 	go s.runCampaign(c)
-	writeJSON(w, http.StatusAccepted, c.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // runCampaign is the campaign's feeder: it submits cells in grid order

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,6 +88,59 @@ func campaignStatus(t *testing.T, ts *httptest.Server, id string) CampaignStatus
 // TestCampaignGrid submits a 2-value x 2-policy sweep grid and checks
 // the stream delivers exactly one done event per cell, replayable on
 // reconnect, with the grid's identity triples.
+// TestCampaignAcceptedIsRunning pins the 202 reply of a campaign submit
+// to the state at acceptance. An instant stub answers a resubmitted grid
+// from the cache, so its feeder can finish every cell before the reply
+// is written; the reply must still say the campaign is running. Four
+// clients submit at once so feeders and handlers interleave.
+func TestCampaignAcceptedIsRunning(t *testing.T) {
+	_, ts, release, _ := newStubServer(t, Options{Workers: 2})
+	close(release)
+
+	req := CampaignRequest{
+		Base:     RunRequest{Apps: []string{"SCP"}, Seed: 3},
+		Policies: []string{"gpummu"},
+		Dim:      "l1base",
+		Values:   []int{16},
+	}
+	// The first run fills the cache, so every later cell is a hit.
+	if code, st, raw := postCampaign(t, ts, req); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, raw)
+	} else {
+		streamEvents(t, ts, st.ID)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var st CampaignStatus
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted || err != nil {
+					t.Errorf("submit: HTTP %d, decode error %v", resp.StatusCode, err)
+					return
+				}
+				if st.State != CampaignRunning || st.Done != 0 {
+					t.Errorf("accepted status %+v, want state %q with no cell done", st, CampaignRunning)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestCampaignGrid(t *testing.T) {
 	_, ts, release, execs := newStubServer(t, Options{Workers: 2})
 	close(release)

@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/pagetable"
 	"repro/internal/trace"
+	"repro/internal/vmem"
 	"repro/internal/workload"
 )
 
@@ -114,5 +116,125 @@ func TestMemAccessPathAllocFree(t *testing.T) {
 		drain(s)
 	}); avg != 0 {
 		t.Fatalf("warm memory access allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// missRig is a warmed simulator with one lane address va, resident and
+// translated, whose physical line is pa. Warp w never completes, so the
+// guards below isolate the memory path.
+type missRig struct {
+	s    *Simulator
+	m    *sm
+	w    *warp
+	va   vmem.VirtAddr
+	pa   vmem.PhysAddr
+	asid vmem.ASID
+}
+
+func newMissRig(t *testing.T, cfg config.Config) *missRig {
+	t.Helper()
+	spec, err := workload.ByName("CONS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.IOBusEnabled = false
+	wl := workload.Workload{Name: "CONS", Apps: []workload.Spec{spec}}
+	s, err := New(cfg, wl, Options{Policy: core.GPUMMU4K, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.sms[0]
+	r := &missRig{s: s, m: m, w: m.warps[0], va: m.app.buffers[0].va, asid: m.app.asid}
+	r.w.outstanding = 1 << 30
+	s.memInstr(m, r.w, r.va) // fault in and translate the page
+	drain(s)
+	tr, ok := s.mgr.Translate(r.asid, r.va)
+	if !ok {
+		t.Fatal("warm-up access left the page unmapped")
+	}
+	r.pa = tr.PhysOf(r.va)
+	return r
+}
+
+// access runs one lane access for va to completion after dropping the
+// data line from both caches, so it misses to DRAM.
+func (r *missRig) access() {
+	r.m.l1cache.Invalidate(r.pa)
+	r.s.l2c.Invalidate(r.pa)
+	r.s.memInstr(r.m, r.w, r.va)
+	drain(r.s)
+}
+
+// flushTranslation drops va's entries from both TLB levels and its PTE
+// lines from the page-walk cache, so the next access walks the page
+// table and every walk read misses the PWC.
+func (r *missRig) flushTranslation() {
+	r.m.l1tlb.FlushBaseEntry(r.asid, r.va)
+	r.m.l1tlb.FlushLargeEntry(r.asid, r.va)
+	r.s.l2tlb.FlushBaseEntry(r.asid, r.va)
+	r.s.l2tlb.FlushLargeEntry(r.asid, r.va)
+	if r.s.pwc != nil {
+		var buf [pagetable.Levels]vmem.PhysAddr
+		for _, a := range r.s.mgr.WalkAddrs(buf[:0], r.asid, r.va) {
+			r.s.pwc.Invalidate(a)
+		}
+	}
+}
+
+// TestCacheMissPathAllocFree guards the data miss path: an L1 TLB hit
+// whose line misses the L1 and L2 caches, goes to DRAM and fills both
+// levels must not allocate once the pools and queues are warm.
+func TestCacheMissPathAllocFree(t *testing.T) {
+	r := newMissRig(t, config.FastTest())
+	for i := 0; i < 64; i++ { // grow the pools and queues
+		r.access()
+	}
+	hits, dramAcc := r.s.l1Hit, r.s.mem.Stats().Accesses
+	r.access()
+	if r.s.l1Hit != hits+1 {
+		t.Fatal("access missed the L1 TLB; the guard would not isolate the cache miss path")
+	}
+	if got := r.s.mem.Stats().Accesses; got != dramAcc+1 {
+		t.Fatalf("access made %d DRAM accesses, want 1", got-dramAcc)
+	}
+	if avg := testing.AllocsPerRun(200, r.access); avg != 0 {
+		t.Fatalf("L2 miss -> DRAM -> fill allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestWalkPathAllocFree guards the translation miss path: an access that
+// misses both TLB levels, walks all four page-table levels and fills the
+// TLBs must not allocate once warm, with and without a page-walk cache.
+func TestWalkPathAllocFree(t *testing.T) {
+	pwcCfg := config.FastTest()
+	pwcCfg.PageWalkCacheEntries = 64
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"l2", config.FastTest()},
+		{"pwc", pwcCfg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newMissRig(t, tc.cfg)
+			walk := func() {
+				r.flushTranslation()
+				r.access()
+			}
+			for i := 0; i < 64; i++ {
+				walk()
+			}
+			walks, reads := r.s.walker.Stats().Walks, r.s.walker.Stats().MemoryAccesses
+			walk()
+			if got := r.s.walker.Stats().Walks; got != walks+1 {
+				t.Fatalf("access made %d walks, want 1", got-walks)
+			}
+			if got := r.s.walker.Stats().MemoryAccesses; got != reads+pagetable.Levels {
+				t.Fatalf("walk made %d PTE reads, want %d", got-reads, pagetable.Levels)
+			}
+			if avg := testing.AllocsPerRun(200, walk); avg != 0 {
+				t.Fatalf("TLB miss -> walk -> fill allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
 }

@@ -89,6 +89,37 @@ func (f *fillReq) fill(cycle uint64) {
 	c.CompleteMiss(pa, cycle)
 }
 
+// pwcFill is the pooled "fill the page-walk cache, then continue the
+// walk" callback for a PTE read that missed the PWC. Like fillReq, its fn
+// fires exactly once per acquire and releases the object first.
+type pwcFill struct {
+	s     *Simulator
+	addr  vmem.PhysAddr
+	inner func(cycle uint64)
+	fn    event.Func
+}
+
+func (s *Simulator) acquirePWCFill(addr vmem.PhysAddr, inner func(cycle uint64)) *pwcFill {
+	var f *pwcFill
+	if n := len(s.pwcFillFree); n > 0 {
+		f = s.pwcFillFree[n-1]
+		s.pwcFillFree = s.pwcFillFree[:n-1]
+	} else {
+		f = &pwcFill{s: s}
+		f.fn = f.fill
+	}
+	f.addr, f.inner = addr, inner
+	return f
+}
+
+func (f *pwcFill) fill(cycle uint64) {
+	addr, inner := f.addr, f.inner
+	f.inner = nil
+	f.s.pwcFillFree = append(f.s.pwcFillFree, f)
+	f.s.pwc.Fill(addr)
+	inner(cycle)
+}
+
 // accessPTE is the page-table read path when PTWalkCached is false: it
 // contends for the L2 ports like any access but always fetches from DRAM,
 // modeling page tables that do not stay resident in the thrashed L2 (the

@@ -328,8 +328,9 @@ type Simulator struct {
 	// Free lists for the pooled memory-access path (see memory.go). Both
 	// are LIFO stacks; objects carry their callbacks pre-bound, so the
 	// steady-state translate+data path performs no allocations.
-	reqFree  []*memReq
-	fillFree []*fillReq
+	reqFree     []*memReq
+	fillFree    []*fillReq
+	pwcFillFree []*pwcFill
 
 	l1Req, l1Hit uint64
 	l2Req, l2Hit uint64
@@ -421,11 +422,7 @@ func (s *Simulator) walkAccess(now uint64, addr vmem.PhysAddr, level int, done f
 			s.q.Schedule(now+uint64(s.cfg.PageWalkCacheLatency), done)
 			return
 		}
-		pwc, inner := s.pwc, done
-		done = func(c uint64) {
-			pwc.Fill(addr)
-			inner(c)
-		}
+		done = s.acquirePWCFill(addr, done).fn
 	}
 	// Upper-level PTEs cover huge ranges and stay hot in the L2
 	// cache even at unscaled working sets; leaf PTEs thrash. With

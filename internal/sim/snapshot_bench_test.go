@@ -16,7 +16,7 @@ import (
 // forks the snapshot per cell. Both produce byte-identical RunRecords
 // (TestForkMatchesColdTwoPhase); only the wall-clock cost differs.
 //
-// Regenerate the BENCH_simcore.json entries with:
+// Run it with:
 //
 //	go test ./internal/sim -run '^$' -bench BenchmarkSweepWarmup -benchtime 3x
 

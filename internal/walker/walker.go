@@ -16,9 +16,10 @@ import (
 // TableSet resolves per-application page tables for the walker. The memory
 // manager implements it.
 type TableSet interface {
-	// WalkAddrs returns the PTE addresses a hardware walk of (asid, va)
-	// reads, in dependency order.
-	WalkAddrs(asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr
+	// WalkAddrs appends to dst the PTE addresses a hardware walk of
+	// (asid, va) reads, in dependency order, and returns the extended
+	// slice. The walker passes a buffer of pagetable.Levels entries.
+	WalkAddrs(dst []vmem.PhysAddr, asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr
 	// Translate resolves (asid, va) from the page table.
 	Translate(asid vmem.ASID, va vmem.VirtAddr) (pagetable.Translation, bool)
 }
@@ -83,14 +84,40 @@ func latencyBucket(lat uint64) int {
 	return b
 }
 
+// walkState is one walk in progress: the dependent PTE reads of request
+// r, issued one at a time. States are pooled; stepFn is bound to the
+// state once, when it is first built.
+type walkState struct {
+	w      *Walker
+	r      request
+	start  uint64
+	buf    [pagetable.Levels]vmem.PhysAddr
+	addrs  []vmem.PhysAddr // the PTE reads of this walk, a prefix of buf
+	next   int             // index into addrs of the next read
+	stepFn func(cycle uint64)
+}
+
 // Walker is the shared page table walker. Not safe for concurrent use.
 type Walker struct {
-	slots    int
-	active   int
-	tables   TableSet
-	access   AccessFunc
+	slots  int
+	active int
+	tables TableSet
+	access AccessFunc
+
+	// pending is a ring of requests waiting for a slot: pendN entries
+	// starting at pendHead.
 	pending  []request
-	inflight map[key][]DoneFunc
+	pendHead int
+	pendN    int
+
+	// inflight maps a walked base page to its slot in waiters, which
+	// holds the callbacks of every request merged into that walk. Slots
+	// and their slices are reused through freeSlots.
+	inflight  map[key]int32
+	waiters   [][]DoneFunc
+	freeSlots []int32
+
+	walkFree []*walkState
 	stats    Stats
 }
 
@@ -104,7 +131,7 @@ func New(slots int, tables TableSet, access AccessFunc) *Walker {
 		slots:    slots,
 		tables:   tables,
 		access:   access,
-		inflight: make(map[key][]DoneFunc),
+		inflight: make(map[key]int32),
 	}
 }
 
@@ -113,19 +140,17 @@ func New(slots int, tables TableSet, access AccessFunc) *Walker {
 // engine, so the fork must supply its own). It requires the walker to be
 // idle — no active walks, no queued requests, no in-flight coalescing
 // state — because those hold continuation closures bound to the source;
-// Clone panics otherwise. Stats (including the latency histogram) carry
-// over by value.
+// Clone panics otherwise. The pooled walk states bind their step
+// callbacks to the walker that built them, so the clone starts with an
+// empty pool (and empty waiter slab and pending ring) and binds its own.
+// Stats (including the latency histogram) carry over by value.
 func (w *Walker) Clone(tables TableSet, access AccessFunc) *Walker {
-	if w.active != 0 || len(w.pending) != 0 || len(w.inflight) != 0 {
+	if w.active != 0 || w.pendN != 0 || len(w.inflight) != 0 {
 		panic("walker: Clone while walks are in flight")
 	}
-	return &Walker{
-		slots:    w.slots,
-		tables:   tables,
-		access:   access,
-		inflight: make(map[key][]DoneFunc),
-		stats:    w.stats,
-	}
+	nw := New(w.slots, tables, access)
+	nw.stats = w.stats
+	return nw
 }
 
 // Stats returns a snapshot of the counters.
@@ -135,46 +160,88 @@ func (w *Walker) Stats() Stats { return w.stats }
 func (w *Walker) Active() int { return w.active }
 
 // Queued returns the number of walk requests waiting for a slot.
-func (w *Walker) Queued() int { return len(w.pending) }
+func (w *Walker) Queued() int { return w.pendN }
 
 // Walk requests a translation of (asid, va). done always fires exactly
 // once. Requests for a base page with a walk already in flight coalesce.
 func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, done DoneFunc) {
 	k := key{asid, va.BasePageNumber()}
-	if waiters, ok := w.inflight[k]; ok {
-		w.inflight[k] = append(waiters, done)
+	if slot, ok := w.inflight[k]; ok {
+		w.waiters[slot] = append(w.waiters[slot], done)
 		w.stats.Coalesced++
 		return
 	}
-	w.inflight[k] = []DoneFunc{done}
+	var slot int32
+	if n := len(w.freeSlots); n > 0 {
+		slot = w.freeSlots[n-1]
+		w.freeSlots = w.freeSlots[:n-1]
+	} else {
+		slot = int32(len(w.waiters))
+		w.waiters = append(w.waiters, nil)
+	}
+	w.waiters[slot] = append(w.waiters[slot], done)
+	w.inflight[k] = slot
 	if w.active >= w.slots {
-		w.pending = append(w.pending, request{asid, va})
-		if len(w.pending) > w.stats.MaxQueued {
-			w.stats.MaxQueued = len(w.pending)
+		w.pushPending(request{asid, va})
+		if w.pendN > w.stats.MaxQueued {
+			w.stats.MaxQueued = w.pendN
 		}
 		return
 	}
 	w.start(now, request{asid, va})
 }
 
+// pushPending appends r to the pending ring, doubling it when full.
+func (w *Walker) pushPending(r request) {
+	if w.pendN == len(w.pending) {
+		grown := make([]request, max(8, 2*len(w.pending)))
+		for i := 0; i < w.pendN; i++ {
+			grown[i] = w.pending[(w.pendHead+i)%len(w.pending)]
+		}
+		w.pending, w.pendHead = grown, 0
+	}
+	w.pending[(w.pendHead+w.pendN)%len(w.pending)] = r
+	w.pendN++
+}
+
+// popPending removes and returns the oldest pending request.
+func (w *Walker) popPending() request {
+	r := w.pending[w.pendHead]
+	w.pendHead = (w.pendHead + 1) % len(w.pending)
+	w.pendN--
+	return r
+}
+
 func (w *Walker) start(now uint64, r request) {
 	w.active++
 	w.stats.Walks++
-	addrs := w.tables.WalkAddrs(r.asid, r.va)
-	w.step(now, now, r, addrs, 0)
+	var st *walkState
+	if n := len(w.walkFree); n > 0 {
+		st = w.walkFree[n-1]
+		w.walkFree = w.walkFree[:n-1]
+	} else {
+		st = &walkState{w: w}
+		st.stepFn = st.step
+	}
+	st.r, st.start, st.next = r, now, 0
+	st.addrs = w.tables.WalkAddrs(st.buf[:0], r.asid, r.va)
+	st.step(now)
 }
 
-// step issues the i-th dependent PTE access; when the chain ends it
+// step issues the next dependent PTE access; when the chain ends it
 // completes the walk.
-func (w *Walker) step(start, now uint64, r request, addrs []vmem.PhysAddr, i int) {
-	if i >= len(addrs) {
+func (st *walkState) step(now uint64) {
+	w := st.w
+	if st.next >= len(st.addrs) {
+		start, r := st.start, st.r
+		w.walkFree = append(w.walkFree, st)
 		w.finish(start, now, r)
 		return
 	}
+	i := st.next
+	st.next++
 	w.stats.MemoryAccesses++
-	w.access(now, addrs[i], i, func(cycle uint64) {
-		w.step(start, cycle, r, addrs, i+1)
-	})
+	w.access(now, st.addrs[i], i, st.stepFn)
 }
 
 func (w *Walker) finish(start, now uint64, r request) {
@@ -186,18 +253,22 @@ func (w *Walker) finish(start, now uint64, r request) {
 		w.stats.Faults++
 	}
 	k := key{r.asid, r.va.BasePageNumber()}
-	waiters := w.inflight[k]
+	slot := w.inflight[k]
 	delete(w.inflight, k)
 	// Start a queued walk before delivering results so the freed slot is
 	// reused this cycle.
-	if len(w.pending) > 0 && w.active < w.slots {
-		next := w.pending[0]
-		w.pending = w.pending[1:]
-		w.start(now, next)
+	if w.pendN > 0 && w.active < w.slots {
+		w.start(now, w.popPending())
 	}
+	// The waiter slot is freed only after the callbacks ran, so a
+	// callback that starts a walk cannot reuse this slice mid-loop.
+	waiters := w.waiters[slot]
 	for _, d := range waiters {
 		if d != nil {
 			d(now, tr, ok)
 		}
 	}
+	clear(waiters) // release the callback references
+	w.waiters[slot] = waiters[:0]
+	w.freeSlots = append(w.freeSlots, slot)
 }

@@ -31,8 +31,8 @@ func (f *fakeTables) table(asid vmem.ASID) *pagetable.PageTable {
 	return pt
 }
 
-func (f *fakeTables) WalkAddrs(asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr {
-	return f.table(asid).WalkAddrs(va)
+func (f *fakeTables) WalkAddrs(dst []vmem.PhysAddr, asid vmem.ASID, va vmem.VirtAddr) []vmem.PhysAddr {
+	return f.table(asid).WalkAddrs(dst, va)
 }
 
 func (f *fakeTables) Translate(asid vmem.ASID, va vmem.VirtAddr) (pagetable.Translation, bool) {
@@ -250,5 +250,74 @@ func TestAvgLatency(t *testing.T) {
 	var empty Stats
 	if empty.AvgLatency() != 0 {
 		t.Error("empty AvgLatency should be 0")
+	}
+}
+
+// TestWalkAllocFree guards the walk path: once the walk pool, waiter
+// slab and pending ring are warm, walks (queued past the slot limit,
+// coalesced, and finished) allocate nothing.
+func TestWalkAllocFree(t *testing.T) {
+	q := &event.Queue{}
+	ft := newFakeTables()
+	for i := 0; i < 16; i++ {
+		ft.table(1).Map(vmem.VirtAddr(i*vmem.BasePageSize), vmem.PhysAddr(i*vmem.BasePageSize))
+	}
+	w := New(4, ft, fixedAccess(q, 10))
+	done := func(uint64, pagetable.Translation, bool) {}
+	round := func() {
+		for i := 0; i < 32; i++ {
+			w.Walk(0, 1, vmem.VirtAddr((i%16)*vmem.BasePageSize), done)
+		}
+		drain(q)
+	}
+	round()
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("Walk + finish allocates %.1f objects per round, want 0", avg)
+	}
+	if w.Active() != 0 || w.Queued() != 0 {
+		t.Fatalf("walker not drained: active=%d queued=%d", w.Active(), w.Queued())
+	}
+}
+
+// TestPendingQueueWrapsInOrder drives a one-slot walker whose pending
+// queue wraps around and grows while walks finish and new ones arrive:
+// walks must still start in request order, and MaxQueued must record
+// the deepest queue: 35, as the slice-backed queue it replaced did.
+func TestPendingQueueWrapsInOrder(t *testing.T) {
+	q := &event.Queue{}
+	ft := newFakeTables()
+	for i := 0; i < 64; i++ {
+		ft.table(1).Map(vmem.VirtAddr(i*vmem.BasePageSize), vmem.PhysAddr(i*vmem.BasePageSize))
+	}
+	w := New(1, ft, fixedAccess(q, 1))
+	var order []int
+	next := 0
+	var walk func(now uint64, n int)
+	walk = func(now uint64, n int) {
+		for ; n > 0; n-- {
+			page := next
+			next++
+			w.Walk(now, 1, vmem.VirtAddr(page*vmem.BasePageSize), func(c uint64, _ pagetable.Translation, _ bool) {
+				order = append(order, page)
+				// Each finish adds more work, so the ring wraps
+				// and then outgrows its capacity.
+				if next < 64 {
+					walk(c, 1+page%3)
+				}
+			})
+		}
+	}
+	walk(0, 6)
+	drain(q)
+	if len(order) != next {
+		t.Fatalf("%d walks finished, %d requested", len(order), next)
+	}
+	for i, p := range order {
+		if p != i {
+			t.Fatalf("walk %d finished in position %d; order %v", p, i, order)
+		}
+	}
+	if got := w.Stats().MaxQueued; got != 35 {
+		t.Fatalf("MaxQueued = %d, want 35", got)
 	}
 }
