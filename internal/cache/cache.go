@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/slotidx"
 	"repro/internal/vmem"
 )
 
@@ -56,7 +57,7 @@ type Cache struct {
 	// completion callbacks of all requests waiting on that line's fill.
 	// Slots and their slices are reused through free, so a warm cache
 	// tracks misses without allocating.
-	mshr    map[uint64]int32
+	mshr    slotidx.Index
 	waiters [][]func(cycle uint64)
 	free    []int32
 }
@@ -83,7 +84,6 @@ func New(name string, totalBytes, lineSize, ways int) (*Cache, error) {
 		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		lines:     make([]line, sets*ways),
-		mshr:      make(map[uint64]int32),
 	}, nil
 }
 
@@ -105,13 +105,13 @@ func MustNew(name string, totalBytes, lineSize, ways int) *Cache {
 // binds no callbacks of its own, so nothing is re-bound: the clone starts
 // with an empty MSHR table and waiter slab that grow on first use.
 func (c *Cache) Clone() *Cache {
-	if len(c.mshr) != 0 {
-		panic(fmt.Sprintf("cache %s: Clone with %d outstanding MSHR entries", c.name, len(c.mshr)))
+	if c.mshr.Len() != 0 {
+		panic(fmt.Sprintf("cache %s: Clone with %d outstanding MSHR entries", c.name, c.mshr.Len()))
 	}
 	nc := *c
 	nc.lines = make([]line, len(c.lines))
 	copy(nc.lines, c.lines)
-	nc.mshr = make(map[uint64]int32)
+	nc.mshr = slotidx.Index{}
 	nc.waiters, nc.free = nil, nil
 	return &nc
 }
@@ -212,7 +212,7 @@ func (c *Cache) Invalidate(a vmem.PhysAddr) bool {
 // coalesced into an existing MSHR entry.
 func (c *Cache) TrackMiss(a vmem.PhysAddr, done func(cycle uint64)) (isFirst bool) {
 	la := c.LineAddr(a)
-	if slot, exists := c.mshr[la]; exists {
+	if slot, exists := c.mshr.Get(la); exists {
 		c.waiters[slot] = append(c.waiters[slot], done)
 		c.stats.Coalesced++
 		// The earlier Lookup already counted this as a miss; reclassify.
@@ -228,8 +228,8 @@ func (c *Cache) TrackMiss(a vmem.PhysAddr, done func(cycle uint64)) (isFirst boo
 		c.waiters = append(c.waiters, nil)
 	}
 	c.waiters[slot] = append(c.waiters[slot], done)
-	c.mshr[la] = slot
-	if n := len(c.mshr); n > c.stats.MaxInFlight {
+	c.mshr.Put(la, slot)
+	if n := c.mshr.Len(); n > c.stats.MaxInFlight {
 		c.stats.MaxInFlight = n
 	}
 	return true
@@ -242,11 +242,10 @@ func (c *Cache) TrackMiss(a vmem.PhysAddr, done func(cycle uint64)) (isFirst boo
 func (c *Cache) CompleteMiss(a vmem.PhysAddr, cycle uint64) {
 	la := c.LineAddr(a)
 	c.Fill(a)
-	slot, ok := c.mshr[la]
+	slot, ok := c.mshr.Take(la)
 	if !ok {
 		return
 	}
-	delete(c.mshr, la)
 	// The slot is not free yet, so waiters that track new misses cannot
 	// reuse this slice while it is being read.
 	waiters := c.waiters[slot]
@@ -261,7 +260,7 @@ func (c *Cache) CompleteMiss(a vmem.PhysAddr, cycle uint64) {
 }
 
 // InFlight returns the number of outstanding MSHR entries.
-func (c *Cache) InFlight() int { return len(c.mshr) }
+func (c *Cache) InFlight() int { return c.mshr.Len() }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -120,3 +120,64 @@ func TestLRUResidencyCloneOrder(t *testing.T) {
 		t.Fatalf("source policy disturbed by clone drain: victim %+v", v)
 	}
 }
+
+// TestFaultPathAllocFree guards the steady-state demand-fault path: once
+// every page has faulted in once, a sweep that keeps evicting and
+// refaulting pages — single pages, clean or written back, under GPU-MMU
+// and whole coalesced frames under Mosaic — allocates
+// nothing. Entries carry pre-bound landing callbacks, fired waiter
+// slices are reused, and write-back records are pooled.
+func TestFaultPathAllocFree(t *testing.T) {
+	for _, policy := range []Policy{GPUMMU4K, Mosaic} {
+		t.Run(policy.String(), func(t *testing.T) {
+			r := newRig(t, policy, func(cfg *config.Config, opt *Options) {
+				cfg.MaxResidentPages = vmem.BasePagesPerLarge
+			})
+			s := r.sys
+			if err := s.RegisterApp(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AllocVirtual(0, 1, 0, 8*vmem.LargePageSize); err != nil {
+				t.Fatal(err)
+			}
+			landed := 0
+			done := func(uint64) { landed++ }
+			now := uint64(1)
+			// One pass touches 80 pages in each of 8 frames, more than the
+			// one-frame budget, so every pass after the first refaults.
+			pass := func() {
+				for f := uint64(0); f < 8; f++ {
+					for pg := uint64(0); pg < 80; pg++ {
+						va := vmem.VirtAddr(f*vmem.LargePageSize + pg*5*vmem.BasePageSize)
+						s.EnsureResident(now, 1, va, done)
+						for {
+							c, ok := r.q.NextCycle()
+							if !ok {
+								break
+							}
+							r.q.RunDue(c)
+							now = max(now, c)
+						}
+						now++
+					}
+				}
+			}
+			pass()
+			pass()
+			before := s.Stats()
+			if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+				t.Fatalf("refault sweep allocates %.1f objects per pass, want 0", avg)
+			}
+			after := s.Stats()
+			// Whole coalesced frames always hold a dirty page, so only the
+			// page-granular baseline also drops clean victims.
+			if after.Refaults == before.Refaults || after.WriteBacks == before.WriteBacks ||
+				(policy == GPUMMU4K && after.CleanDrops == before.CleanDrops) {
+				t.Fatalf("sweep did not exercise refaults, write-backs and clean drops: %+v -> %+v", before, after)
+			}
+			if landed == 0 {
+				t.Fatal("no fault completion fired")
+			}
+		})
+	}
+}

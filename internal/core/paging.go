@@ -63,6 +63,9 @@ type PageEntry struct {
 	// them (their budget was already released).
 	freed   bool
 	waiters []func(uint64)
+	// landFn is the bus completion of this unit's page-in (pager.land),
+	// bound once when the entry is made so a refault allocates nothing.
+	landFn func(uint64)
 	// Intrusive residency-queue links (only meaningful while resident).
 	prev, next *PageEntry
 }
@@ -104,6 +107,31 @@ type pager struct {
 	// res orders resident entries for victim selection (the policy's
 	// ResidencyPolicy; LRU by default).
 	res ResidencyPolicy
+
+	// waiterFree holds emptied waiter slices. An entry takes one when it
+	// faults and gives it back after its waiters fired, so only units
+	// with a fault in flight hold a slice.
+	waiterFree [][]func(uint64)
+	// group is evict's scratch list of the entries one eviction moves.
+	group []*PageEntry
+	// wbFree pools the records dirty write-backs complete through.
+	wbFree []*writeBack
+}
+
+// writeBack is one dirty eviction on its way to the host tier: the
+// entries it moves, and its bus completion bound once per pooled record.
+type writeBack struct {
+	p     *pager
+	group []*PageEntry
+	fn    func(uint64)
+}
+
+// newEntry makes the record of one paged unit with its landing callback
+// bound to p.
+func (p *pager) newEntry(asid vmem.ASID, key, pages uint64) *PageEntry {
+	e := &PageEntry{asid: asid, key: key, pages: pages}
+	e.landFn = func(cycle uint64) { p.land(e, cycle) }
+	return e
 }
 
 func newPager(s *System) *pager {
@@ -140,10 +168,9 @@ func (p *pager) clone(ns *System) *pager {
 		if len(e.waiters) != 0 {
 			panic("core: pager clone with waiters outstanding")
 		}
-		np.entries[k] = &PageEntry{
-			asid: e.asid, key: e.key, va: e.va, state: e.state,
-			dirty: e.dirty, pages: e.pages, evicted: e.evicted, freed: e.freed,
-		}
+		ne := np.newEntry(e.asid, e.key, e.pages)
+		ne.va, ne.state, ne.dirty, ne.evicted, ne.freed = e.va, e.state, e.dirty, e.evicted, e.freed
+		np.entries[k] = ne
 	}
 	np.res = p.res.Clone(func(e *PageEntry) *PageEntry {
 		return np.entries[pagerKey{e.asid, e.key}]
@@ -181,10 +208,11 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 		// while the write-back drains is safe — the bus is FIFO, so the
 		// page-in transfer queues behind the outbound data.
 	} else {
-		e = &PageEntry{asid: asid, key: key, pages: 1}
+		pages := uint64(1)
 		if s.fill.LargeFill() {
-			e.pages = vmem.BasePagesPerLarge
+			pages = vmem.BasePagesPerLarge
 		}
+		e = p.newEntry(asid, key, pages)
 		p.entries[pagerKey{asid, key}] = e
 	}
 	e.va = va.BasePageBase()
@@ -192,6 +220,10 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 		s.stats.Refaults++
 	}
 	s.stats.FarFaults++
+	if n := len(p.waiterFree); e.waiters == nil && n > 0 {
+		e.waiters = p.waiterFree[n-1]
+		p.waiterFree = p.waiterFree[:n-1]
+	}
 	e.waiters = append(e.waiters[:0], done)
 
 	// Admission control: earlier queued faults go first, and a fault that
@@ -225,30 +257,48 @@ func (p *pager) issue(now uint64, e *PageEntry) {
 	if s.fill.LargeFill() {
 		size = vmem.Large
 	}
-	fin := s.bus.Transfer(now, size, func(cycle uint64) {
-		waiters := e.waiters
-		e.waiters = nil
-		if !e.freed {
-			e.state = pageResident
-			e.dirty = pageDirty(e.asid, e.key)
-			if a, err := s.app(e.asid); err == nil {
-				a.resident[e.key] = true
-			}
-			p.res.Insert(e)
-		}
-		// The landed page is evictable, so capacity may now exist for
-		// faults the admission queue was holding back.
-		p.admit(cycle)
-		for _, w := range waiters {
-			if w != nil {
-				w(cycle)
-			}
-		}
-	})
+	fin := s.bus.Transfer(now, size, e.landFn)
 	s.trace.Record(trace.Event{
 		Cycle: now, Kind: trace.EvFarFault, ASID: e.asid,
 		VA: e.va, Size: size.Bytes(), Latency: fin - now,
 	})
+}
+
+// land completes e's page-in: the unit becomes resident (unless its range
+// was freed meanwhile), the admission queue gets another chance, and the
+// faults waiting on e fire in arrival order.
+func (p *pager) land(e *PageEntry, cycle uint64) {
+	s := p.s
+	waiters := e.waiters
+	e.waiters = nil
+	if !e.freed {
+		e.state = pageResident
+		e.dirty = pageDirty(e.asid, e.key)
+		if a, err := s.app(e.asid); err == nil {
+			a.resident[e.key] = true
+		}
+		p.res.Insert(e)
+	}
+	// The landed page is evictable, so capacity may now exist for
+	// faults the admission queue was holding back.
+	p.admit(cycle)
+	p.fire(waiters, cycle)
+}
+
+// fire runs waiters already detached from their entry (so a waiter that
+// faults on the entry again starts a fresh list), in order, then returns
+// their cleared slice to the pool; it is pooled only now, so no fault can
+// take it while it is being read.
+func (p *pager) fire(waiters []func(uint64), cycle uint64) {
+	for _, w := range waiters {
+		if w != nil {
+			w(cycle)
+		}
+	}
+	if waiters != nil {
+		clear(waiters) // release the callback references
+		p.waiterFree = append(p.waiterFree, waiters[:0])
+	}
 }
 
 // admit drains the fault queue in FIFO order for as long as capacity can
@@ -263,11 +313,7 @@ func (p *pager) admit(now uint64) {
 			p.queued = p.queued[1:]
 			waiters := e.waiters
 			e.waiters = nil
-			for _, w := range waiters {
-				if w != nil {
-					w(now)
-				}
-			}
+			p.fire(waiters, now)
 			continue
 		}
 		p.ensureCapacity(now, e.pages)
@@ -300,7 +346,7 @@ func (p *pager) ensureCapacity(now uint64, pages uint64) {
 // moves, and it faults back page by page.
 func (p *pager) evict(now uint64, victim *PageEntry) {
 	s := p.s
-	group := []*PageEntry{victim}
+	group := append(p.group[:0], victim)
 	size := vmem.Base
 	if s.fill.LargeFill() {
 		size = vmem.Large
@@ -322,6 +368,7 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 			size = vmem.Large
 		}
 	}
+	p.group = group
 
 	dirty := false
 	var a *appState
@@ -350,19 +397,41 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 		for _, e := range group {
 			e.state = pagePendingOut
 		}
-		s.bus.WriteBack(now, size, func(uint64) {
-			for _, e := range group {
-				if e.state == pagePendingOut {
-					e.state = pageRemote
-				}
-			}
-		})
+		wb := p.acquireWriteBack()
+		wb.group = append(wb.group, group...)
+		s.bus.WriteBack(now, size, wb.fn)
 	} else {
 		s.stats.CleanDrops++
 		for _, e := range group {
 			e.state = pageRemote
 		}
 	}
+}
+
+// acquireWriteBack pops a write-back record from the pool or builds one.
+func (p *pager) acquireWriteBack() *writeBack {
+	if n := len(p.wbFree); n > 0 {
+		wb := p.wbFree[n-1]
+		p.wbFree = p.wbFree[:n-1]
+		return wb
+	}
+	wb := &writeBack{p: p}
+	wb.fn = wb.drained
+	return wb
+}
+
+// drained fires when the write-back's data has left GPU memory: entries
+// still pending-out become remote (one that refaulted meanwhile keeps its
+// newer state), and the record returns to the pool.
+func (wb *writeBack) drained(uint64) {
+	for _, e := range wb.group {
+		if e.state == pagePendingOut {
+			e.state = pageRemote
+		}
+	}
+	clear(wb.group)
+	wb.group = wb.group[:0]
+	wb.p.wbFree = append(wb.p.wbFree, wb)
 }
 
 // release forgets a paged unit whose virtual range was freed. Freed pages

@@ -300,12 +300,7 @@ func (d *DRAM) CopyPageBulk(now uint64, src, dst vmem.PhysAddr, done func(cycle 
 	finish := start + uint64(d.cfg.DRAMBulkCopyCycles)
 	ch.busFree = finish
 	d.stats.BulkCopies++
-	d.q.Schedule(finish, func(cycle uint64) {
-		if done != nil {
-			done(cycle)
-		}
-		d.dispatch(sc, cycle)
-	})
+	d.scheduleCopyDone(finish, sc, done)
 	return finish, nil
 }
 
@@ -323,13 +318,23 @@ func (d *DRAM) CopyPageNarrow(now uint64, src, dst vmem.PhysAddr, done func(cycl
 	ch.busFree = finish
 	d.stats.NarrowCopy++
 	d.stats.BusyCycles += 2 * words
+	d.scheduleCopyDone(finish, sc, done)
+	return finish
+}
+
+// scheduleCopyDone schedules a page copy's completion on channel sc:
+// done (if any), then a dispatch of the channel's queued requests. With
+// no done, the channel's pre-bound dispatch is the whole completion, so
+// the copies migration issues allocate nothing.
+func (d *DRAM) scheduleCopyDone(finish uint64, sc int, done func(cycle uint64)) {
+	if done == nil {
+		d.q.Schedule(finish, d.channels[sc].dispatchFn)
+		return
+	}
 	d.q.Schedule(finish, func(cycle uint64) {
-		if done != nil {
-			done(cycle)
-		}
+		done(cycle)
 		d.dispatch(sc, cycle)
 	})
-	return finish
 }
 
 // PendingRequests reports the number of queued (not yet dispatched)

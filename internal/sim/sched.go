@@ -21,11 +21,21 @@ import "math/bits"
 //
 // Warps move between these sets only at their existing state transitions
 // (issue, block, complete, finish), so maintaining them is O(1)-ish per
-// transition and the per-cycle cost of an idle SM is O(1). The decisions
-// produced are bit-identical to the full scans: a warp is promoted to
-// `ready` exactly when the old `state == warpReady && readyAt <= cycle`
-// predicate would have accepted it, and `wakeMin` reproduces the old
-// next-wake scan's "earliest readyAt not yet reached" answer.
+// transition. The decisions produced are bit-identical to the full
+// scans: a warp is promoted to `ready` exactly when the old
+// `state == warpReady && readyAt <= cycle` predicate would have accepted
+// it, and `wakeMin` reproduces the old next-wake scan's "earliest readyAt
+// not yet reached" answer.
+//
+// One level up, the Simulator keeps an active-SM set: a bitmask with one
+// bit per SM that has a ready, soon or wake entry. wakeAdd sets the bit
+// (every entry enters through it), and the issue loop clears it once
+// the SM it just visited holds no entry. The issue loop and nextWarpWake
+// visit only set bits, in SM index order, so a cycle costs O(active
+// SMs), not O(SMs). Skipping an SM outside the set is exact: with no
+// entry, issueSM would issue nothing and change nothing; and a wake
+// added while the loop runs is for cycle+1 or later, so an SM that gains
+// its bit mid-loop would issue nothing this cycle either.
 
 type wakeEnt struct {
 	at  uint64
@@ -37,6 +47,27 @@ func (m *sm) initSched(n int) {
 	words := (n + 63) / 64
 	m.ready = make([]uint64, words)
 	m.soon = make([]uint64, words)
+}
+
+// bindActive points the SM's wakeAdd at bit id of the simulator's
+// active-SM set.
+func (m *sm) bindActive(active []uint64) {
+	m.active = &active[m.id>>6]
+	m.activeBit = 1 << (uint(m.id) & 63)
+}
+
+// idle reports whether the SM has no ready, soon or wake entry, i.e.
+// whether it may leave the active-SM set.
+func (m *sm) idle() bool {
+	if m.soonN != 0 || len(m.wake) != 0 {
+		return false
+	}
+	for _, w := range m.ready {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *sm) markIssuable(idx int)  { m.ready[idx>>6] |= 1 << (uint(idx) & 63) }
@@ -54,9 +85,11 @@ func (m *sm) firstIssuable() int {
 	return -1
 }
 
-// wakeAdd registers a ready warp to become issuable at cycle at. The warp
-// must not already be in a wake set (warps wait on at most one cycle).
+// wakeAdd registers a ready warp to become issuable at cycle at and puts
+// the SM in the active-SM set. The warp must not already be in a wake set
+// (warps wait on at most one cycle).
 func (m *sm) wakeAdd(idx int, at uint64) {
+	*m.active |= m.activeBit
 	if m.soonN == 0 {
 		m.soonAt = at
 		m.soon[idx>>6] |= 1 << (uint(idx) & 63)

@@ -16,6 +16,7 @@ func TestReadySetMatchesNaiveScan(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := &sm{}
 		m.initSched(nWarps)
+		m.bindActive(make([]uint64, 1))
 		waiting := make(map[int]uint64) // idx -> wake cycle
 		ready := make(map[int]bool)
 		var free []int // warps in neither set (blocked/done in the real sim)

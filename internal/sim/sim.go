@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 
 	"repro/internal/alloc"
 	"repro/internal/cache"
@@ -134,6 +135,10 @@ type sm struct {
 	soonAt uint64
 	soonN  int
 	wake   []wakeEnt
+	// active/activeBit locate this SM's bit in the simulator's active-SM
+	// set, which wakeAdd sets.
+	active    *uint64
+	activeBit uint64
 }
 
 // buffer is one contiguous virtual allocation of an application. Real
@@ -302,6 +307,12 @@ type Simulator struct {
 
 	sms  []*sm
 	apps []*appRun
+	// active is the active-SM set: bit i is set when sms[i] has a ready,
+	// soon or wake entry (see sched.go).
+	active []uint64
+	// issue carries out the instruction the issue loop picked; it is
+	// issueWarp, bound once (tests substitute a scripted one).
+	issue func(m *sm, w *warp)
 
 	liveApps int
 	rec      *trace.Recorder
@@ -467,6 +478,8 @@ func (s *Simulator) bindFlushHooks() {
 func (s *Simulator) setupApps() error {
 	nApps := len(s.wl.Apps)
 	per := s.cfg.NumSMs / nApps
+	s.active = make([]uint64, (s.cfg.NumSMs+63)/64)
+	s.issue = s.issueWarp
 
 	smID := 0
 	for i, spec := range s.wl.Apps {
@@ -528,6 +541,7 @@ func (s *Simulator) setupApps() error {
 					s.cfg.L1CacheBytes, s.cfg.L1CacheLineSz, s.cfg.L1CacheWays),
 			}
 			m.initSched(s.cfg.WarpsPerSM)
+			m.bindActive(s.active)
 			for wi := 0; wi < s.cfg.WarpsPerSM; wi++ {
 				w := &warp{
 					idx:         wi,
@@ -610,11 +624,7 @@ func (s *Simulator) runUntil(bound uint64) error {
 
 		issued := false
 		if s.cycle >= s.mgr.StallUntil() {
-			for _, m := range s.sms {
-				if s.issueSM(m) {
-					issued = true
-				}
-			}
+			issued = s.issueActive()
 		}
 
 		s.cycle++
@@ -666,12 +676,12 @@ func (s *Simulator) fastForward() error {
 // reported as wake-up targets.
 func (s *Simulator) nextWarpWake() uint64 {
 	var min uint64
-	for _, m := range s.sms {
-		if m.live == 0 {
-			continue
-		}
-		if w := m.wakeMin(s.cycle); w != 0 && (min == 0 || w < min) {
-			min = w
+	for wi, word := range s.active {
+		for ; word != 0; word &= word - 1 {
+			m := s.sms[wi<<6|bits.TrailingZeros64(word)]
+			if w := m.wakeMin(s.cycle); w != 0 && (min == 0 || w < min) {
+				min = w
+			}
 		}
 	}
 	return min
@@ -722,6 +732,27 @@ func (s *Simulator) pollDealloc(c uint64) {
 	}
 }
 
+// issueActive runs one cycle of instruction issue: each SM in the
+// active-SM set, in index order, issues at most one instruction, and an
+// SM left with no ready, soon or wake entry drops out of the set. It
+// reports whether any SM issued.
+func (s *Simulator) issueActive() bool {
+	issued := false
+	for wi := range s.active {
+		for word := s.active[wi]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			m := s.sms[wi<<6|b]
+			if s.issueSM(m) {
+				issued = true
+			}
+			if m.idle() {
+				s.active[wi] &^= 1 << uint(b)
+			}
+		}
+	}
+	return issued
+}
+
 // issueSM issues at most one instruction on one SM using GTO scheduling:
 // keep issuing from the last warp until it stalls, then pick the oldest
 // ready warp. Candidates come from the incrementally maintained issuable
@@ -739,7 +770,7 @@ func (s *Simulator) issueSM(m *sm) bool {
 		}
 		m.lastIdx = idx
 	}
-	s.issueWarp(m, m.warps[idx])
+	s.issue(m, m.warps[idx])
 	return true
 }
 

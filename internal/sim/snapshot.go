@@ -242,6 +242,8 @@ func (sn *Snapshot) Fork() *Simulator {
 	}
 	ns.walker = s.walker.Clone(ns.mgr, ns.walkAccess)
 	ns.bindFlushHooks()
+	ns.active = make([]uint64, len(s.active))
+	ns.issue = ns.issueWarp
 
 	appOf := make(map[*appRun]*appRun, len(s.apps))
 	for _, a := range s.apps {
@@ -283,6 +285,10 @@ func (sn *Snapshot) Fork() *Simulator {
 				retired:     w.retired,
 				jitterState: w.jitterState,
 			})
+		}
+		nm.bindActive(ns.active)
+		if !nm.idle() {
+			*nm.active |= nm.activeBit
 		}
 		nm.app.sms = append(nm.app.sms, nm)
 		ns.sms = append(ns.sms, nm)

@@ -16,13 +16,6 @@ import (
 	"repro/internal/vmem"
 )
 
-// Key identifies a cached translation: a protection domain plus a virtual
-// page number (base VPN for the base array, large VPN for the large array).
-type Key struct {
-	ASID vmem.ASID
-	VPN  uint64
-}
-
 // Stats aggregates per-array hit/miss counters. All counters are
 // monotonic within one simulation; Stats snapshots are cheap value
 // copies suitable for per-run export.
@@ -73,19 +66,30 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(l)
 }
 
-type way struct {
-	key      Key
+// validTag marks a tags word in use. The rest of the word is the
+// packed key vpn<<16 | asid: a base VPN is below 2^36 (vmem drops the
+// ignored top address bits), so distinct (ASID, VPN) pairs never share a
+// tag and an invalid way never matches one.
+const validTag = 1 << 63
+
+// tagOf packs a translation's key into its tags word.
+func tagOf(asid vmem.ASID, vpn uint64) uint64 { return vpn<<16 | uint64(asid) | validTag }
+
+// wayMeta is the payload of one way: its frame and LRU timestamp.
+type wayMeta struct {
 	frame    vmem.PhysAddr
-	valid    bool
 	lastUsed uint64
 }
 
 // entrySet is one set-associative array with LRU replacement.
-// sets == 1 makes it fully associative.
+// sets == 1 makes it fully associative. Lookups, probes and flushes scan
+// only the packed tags; the parallel meta array is touched on a hit or a
+// replacement.
 type entrySet struct {
 	sets int
 	ways int
-	arr  []way
+	tags []uint64
+	meta []wayMeta
 	tick uint64
 }
 
@@ -93,88 +97,90 @@ func newEntrySet(entries, ways int) (*entrySet, error) {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("tlb: bad geometry entries=%d ways=%d", entries, ways)
 	}
-	return &entrySet{sets: entries / ways, ways: ways, arr: make([]way, entries)}, nil
+	return &entrySet{
+		sets: entries / ways, ways: ways,
+		tags: make([]uint64, entries), meta: make([]wayMeta, entries),
+	}, nil
 }
 
-func (e *entrySet) setOf(k Key) int {
+// set returns the first way index of tag t's set.
+func (e *entrySet) set(t uint64) int {
 	if e.sets == 1 {
 		return 0
 	}
-	h := k.VPN*0x9E3779B97F4A7C15 ^ uint64(k.ASID)*0xBF58476D1CE4E5B9
-	return int(h % uint64(e.sets))
+	vpn, asid := (t&^validTag)>>16, uint64(uint16(t))
+	h := vpn*0x9E3779B97F4A7C15 ^ asid*0xBF58476D1CE4E5B9
+	return int(h%uint64(e.sets)) * e.ways
 }
 
-func (e *entrySet) lookup(k Key) (vmem.PhysAddr, bool) {
-	base := e.setOf(k) * e.ways
+// find returns the way holding tag t, or -1.
+func (e *entrySet) find(t uint64) int {
+	base := e.set(t)
+	for i, tg := range e.tags[base : base+e.ways] {
+		if tg == t {
+			return base + i
+		}
+	}
+	return -1
+}
+
+func (e *entrySet) lookup(t uint64) (vmem.PhysAddr, bool) {
 	e.tick++
-	for i := 0; i < e.ways; i++ {
-		w := &e.arr[base+i]
-		if w.valid && w.key == k {
-			w.lastUsed = e.tick
-			return w.frame, true
-		}
+	i := e.find(t)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	e.meta[i].lastUsed = e.tick
+	return e.meta[i].frame, true
 }
 
-func (e *entrySet) probe(k Key) bool {
-	base := e.setOf(k) * e.ways
-	for i := 0; i < e.ways; i++ {
-		w := &e.arr[base+i]
-		if w.valid && w.key == k {
-			return true
-		}
-	}
-	return false
-}
+func (e *entrySet) probe(t uint64) bool { return e.find(t) >= 0 }
 
 // insert caches a translation and reports whether a valid entry with a
-// different key was displaced to make room.
-func (e *entrySet) insert(k Key, frame vmem.PhysAddr) (evicted bool) {
-	base := e.setOf(k) * e.ways
+// different key was displaced to make room. The victim is the first
+// invalid way of the set, else its least recently used way (the first
+// one on a tie).
+func (e *entrySet) insert(t uint64, frame vmem.PhysAddr) (evicted bool) {
+	base := e.set(t)
 	e.tick++
 	victim := -1
-	var oldest = ^uint64(0)
-	for i := 0; i < e.ways; i++ {
-		w := &e.arr[base+i]
-		if w.valid && w.key == k {
-			w.frame = frame
-			w.lastUsed = e.tick
+	for i, tg := range e.tags[base : base+e.ways] {
+		if tg == t {
+			e.meta[base+i] = wayMeta{frame: frame, lastUsed: e.tick}
 			return false
 		}
-		if !w.valid {
-			if victim == -1 || e.arr[base+victim].valid {
-				victim = i
-			}
-			continue
-		}
-		if w.lastUsed < oldest && (victim == -1 || e.arr[base+victim].valid) {
-			oldest = w.lastUsed
-			victim = i
+		if victim < 0 && tg&validTag == 0 {
+			victim = base + i
 		}
 	}
-	evicted = e.arr[base+victim].valid
-	e.arr[base+victim] = way{key: k, frame: frame, valid: true, lastUsed: e.tick}
+	if victim < 0 {
+		victim = base
+		for i := base + 1; i < base+e.ways; i++ {
+			if e.meta[i].lastUsed < e.meta[victim].lastUsed {
+				victim = i
+			}
+		}
+		evicted = true
+	}
+	e.tags[victim] = t
+	e.meta[victim] = wayMeta{frame: frame, lastUsed: e.tick}
 	return evicted
 }
 
-func (e *entrySet) invalidate(k Key) bool {
-	base := e.setOf(k) * e.ways
-	for i := 0; i < e.ways; i++ {
-		w := &e.arr[base+i]
-		if w.valid && w.key == k {
-			w.valid = false
-			return true
-		}
+func (e *entrySet) invalidate(t uint64) bool {
+	i := e.find(t)
+	if i < 0 {
+		return false
 	}
-	return false
+	e.tags[i] = 0
+	return true
 }
 
 func (e *entrySet) invalidateASID(asid vmem.ASID) int {
 	n := 0
-	for i := range e.arr {
-		if e.arr[i].valid && e.arr[i].key.ASID == asid {
-			e.arr[i].valid = false
+	for i, tg := range e.tags {
+		if tg&validTag != 0 && vmem.ASID(tg) == asid {
+			e.tags[i] = 0
 			n++
 		}
 	}
@@ -183,9 +189,9 @@ func (e *entrySet) invalidateASID(asid vmem.ASID) int {
 
 func (e *entrySet) invalidateAll() int {
 	n := 0
-	for i := range e.arr {
-		if e.arr[i].valid {
-			e.arr[i].valid = false
+	for i, tg := range e.tags {
+		if tg&validTag != 0 {
+			e.tags[i] = 0
 			n++
 		}
 	}
@@ -194,8 +200,8 @@ func (e *entrySet) invalidateAll() int {
 
 func (e *entrySet) occupancy() int {
 	n := 0
-	for i := range e.arr {
-		if e.arr[i].valid {
+	for _, tg := range e.tags {
+		if tg&validTag != 0 {
 			n++
 		}
 	}
@@ -274,8 +280,8 @@ func (t *TLB) RestoreStats(s Stats) { t.stats = s }
 // clone deep-copies one entry array including LRU state.
 func (e *entrySet) clone() *entrySet {
 	ne := *e
-	ne.arr = make([]way, len(e.arr))
-	copy(ne.arr, e.arr)
+	ne.tags = append([]uint64(nil), e.tags...)
+	ne.meta = append([]wayMeta(nil), e.meta...)
 	return &ne
 }
 
@@ -287,7 +293,7 @@ func (t *TLB) Stats() Stats { return t.stats }
 
 // LookupLarge probes the large-page array for (asid, large VPN of va).
 func (t *TLB) LookupLarge(asid vmem.ASID, va vmem.VirtAddr) (vmem.PhysAddr, bool) {
-	frame, ok := t.large.lookup(Key{asid, va.LargePageNumber()})
+	frame, ok := t.large.lookup(tagOf(asid, va.LargePageNumber()))
 	if ok {
 		t.stats.LargeHits++
 	} else {
@@ -298,7 +304,7 @@ func (t *TLB) LookupLarge(asid vmem.ASID, va vmem.VirtAddr) (vmem.PhysAddr, bool
 
 // LookupBase probes the base-page array for (asid, base VPN of va).
 func (t *TLB) LookupBase(asid vmem.ASID, va vmem.VirtAddr) (vmem.PhysAddr, bool) {
-	frame, ok := t.base.lookup(Key{asid, va.BasePageNumber()})
+	frame, ok := t.base.lookup(tagOf(asid, va.BasePageNumber()))
 	if ok {
 		t.stats.BaseHits++
 	} else {
@@ -309,7 +315,7 @@ func (t *TLB) LookupBase(asid vmem.ASID, va vmem.VirtAddr) (vmem.PhysAddr, bool)
 
 // InsertBase caches a base translation (frame = base frame address).
 func (t *TLB) InsertBase(asid vmem.ASID, va vmem.VirtAddr, frame vmem.PhysAddr) {
-	if t.base.insert(Key{asid, va.BasePageNumber()}, frame) {
+	if t.base.insert(tagOf(asid, va.BasePageNumber()), frame) {
 		t.stats.Evictions++
 	}
 	t.stats.Insertions++
@@ -317,7 +323,7 @@ func (t *TLB) InsertBase(asid vmem.ASID, va vmem.VirtAddr, frame vmem.PhysAddr) 
 
 // InsertLarge caches a large translation (frame = large frame address).
 func (t *TLB) InsertLarge(asid vmem.ASID, va vmem.VirtAddr, frame vmem.PhysAddr) {
-	if t.large.insert(Key{asid, va.LargePageNumber()}, frame) {
+	if t.large.insert(tagOf(asid, va.LargePageNumber()), frame) {
 		t.stats.Evictions++
 	}
 	t.stats.Insertions++
@@ -325,19 +331,19 @@ func (t *TLB) InsertLarge(asid vmem.ASID, va vmem.VirtAddr, frame vmem.PhysAddr)
 
 // ProbeBase reports base-array residency without touching LRU or stats.
 func (t *TLB) ProbeBase(asid vmem.ASID, va vmem.VirtAddr) bool {
-	return t.base.probe(Key{asid, va.BasePageNumber()})
+	return t.base.probe(tagOf(asid, va.BasePageNumber()))
 }
 
 // ProbeLarge reports large-array residency without touching LRU or stats.
 func (t *TLB) ProbeLarge(asid vmem.ASID, va vmem.VirtAddr) bool {
-	return t.large.probe(Key{asid, va.LargePageNumber()})
+	return t.large.probe(tagOf(asid, va.LargePageNumber()))
 }
 
 // FlushLargeEntry removes the large-page entry for va's region, as
 // required when a coalesced page is splintered (§4.4). It returns whether
 // an entry was dropped.
 func (t *TLB) FlushLargeEntry(asid vmem.ASID, va vmem.VirtAddr) bool {
-	ok := t.large.invalidate(Key{asid, va.LargePageNumber()})
+	ok := t.large.invalidate(tagOf(asid, va.LargePageNumber()))
 	if ok {
 		t.stats.Flushes++
 	}
@@ -347,7 +353,7 @@ func (t *TLB) FlushLargeEntry(asid vmem.ASID, va vmem.VirtAddr) bool {
 // FlushBaseEntry removes the base-page entry for va, used when CAC
 // migrates a base page during compaction.
 func (t *TLB) FlushBaseEntry(asid vmem.ASID, va vmem.VirtAddr) bool {
-	ok := t.base.invalidate(Key{asid, va.BasePageNumber()})
+	ok := t.base.invalidate(tagOf(asid, va.BasePageNumber()))
 	if ok {
 		t.stats.Flushes++
 	}

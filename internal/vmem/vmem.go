@@ -11,6 +11,13 @@ import "fmt"
 // space. The upper 16 bits are ignored, matching x86-64 canonical form.
 type VirtAddr uint64
 
+// VirtAddrBits is the width of a virtual address; bits above it are
+// ignored, so va and va|1<<56 name the same byte.
+const VirtAddrBits = 48
+
+// vaMask keeps the significant bits of a VirtAddr.
+const vaMask = 1<<VirtAddrBits - 1
+
 // PhysAddr is a physical GPU memory address.
 type PhysAddr uint64
 
@@ -62,11 +69,14 @@ func (s PageSize) String() string {
 	return "4KB"
 }
 
-// BasePageNumber returns the virtual base page number of a.
-func (a VirtAddr) BasePageNumber() uint64 { return uint64(a) >> BasePageShift }
+// BasePageNumber returns the virtual base page number of a: a value below
+// 2^36, since the ignored top bits of a are dropped (the page table
+// aliases such addresses, so every key built from a VPN must too).
+func (a VirtAddr) BasePageNumber() uint64 { return uint64(a) & vaMask >> BasePageShift }
 
-// LargePageNumber returns the virtual large page number of a.
-func (a VirtAddr) LargePageNumber() uint64 { return uint64(a) >> LargePageShift }
+// LargePageNumber returns the virtual large page number of a, below 2^27;
+// like BasePageNumber it ignores the top 16 bits.
+func (a VirtAddr) LargePageNumber() uint64 { return uint64(a) & vaMask >> LargePageShift }
 
 // BasePageBase returns the address of the first byte of a's base page.
 func (a VirtAddr) BasePageBase() VirtAddr { return a &^ (BasePageSize - 1) }

@@ -147,3 +147,33 @@ func TestStringFormats(t *testing.T) {
 		t.Errorf("PhysAddr.String() = %q", PhysAddr(0x1000).String())
 	}
 }
+
+// Property: the ignored top 16 bits never reach a page number, so every
+// key built from one (TLB tags, walk-merge and pager keys) treats va and
+// va with high bits set as the same page, as the page table does; and a
+// base VPN fits in 36 bits, so vpn<<16|asid packs without collisions.
+func TestPageNumbersIgnoreTopBits(t *testing.T) {
+	prop := func(raw uint64, high uint16) bool {
+		a := VirtAddr(raw)
+		hi := a | VirtAddr(uint64(high)<<VirtAddrBits)
+		low := VirtAddr(raw & (1<<VirtAddrBits - 1))
+		return a.BasePageNumber() == hi.BasePageNumber() &&
+			a.BasePageNumber() == low.BasePageNumber() &&
+			a.LargePageNumber() == hi.LargePageNumber() &&
+			a.LargePageNumber() == low.LargePageNumber() &&
+			a.BasePageNumber() < 1<<(VirtAddrBits-BasePageShift) &&
+			a.LargePageNumber() < 1<<(VirtAddrBits-LargePageShift)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+	va := VirtAddr(0x7fff_ffff_f000)
+	if got := (va | 1<<56).BasePageNumber(); got != va.BasePageNumber() {
+		t.Fatalf("BasePageNumber(va|1<<56) = %#x, want %#x", got, va.BasePageNumber())
+	}
+	// Packed (vpn, asid) keys of distinct pages or domains never collide.
+	key := func(a VirtAddr, asid ASID) uint64 { return a.BasePageNumber()<<16 | uint64(asid) }
+	if key(va, 1) == key(va|1<<56, 2) || key(va, 1) != key(va|1<<60, 1) {
+		t.Fatal("packed VPN keys alias across ASIDs or split one page")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 
 	"repro/internal/pagetable"
+	"repro/internal/slotidx"
 	"repro/internal/vmem"
 )
 
@@ -34,9 +35,12 @@ type AccessFunc func(now uint64, addr vmem.PhysAddr, level int, done func(cycle 
 // mapped (a page fault: the manager must handle it and retry).
 type DoneFunc func(cycle uint64, tr pagetable.Translation, ok bool)
 
-type key struct {
-	asid vmem.ASID
-	vpn  uint64
+// mergeKey packs the (ASID, base page) a walk resolves into one word,
+// VPN above the 16 ASID bits. BasePageNumber drops the ignored top 16
+// bits of the address, so the VPN fits in 36 bits and no two pages share
+// a key.
+func mergeKey(asid vmem.ASID, va vmem.VirtAddr) uint64 {
+	return va.BasePageNumber()<<16 | uint64(asid)
 }
 
 type request struct {
@@ -110,10 +114,10 @@ type Walker struct {
 	pendHead int
 	pendN    int
 
-	// inflight maps a walked base page to its slot in waiters, which
-	// holds the callbacks of every request merged into that walk. Slots
-	// and their slices are reused through freeSlots.
-	inflight  map[key]int32
+	// inflight maps a walked base page (its mergeKey) to its slot in
+	// waiters, which holds the callbacks of every request merged into
+	// that walk. Slots and their slices are reused through freeSlots.
+	inflight  slotidx.Index
 	waiters   [][]DoneFunc
 	freeSlots []int32
 
@@ -128,10 +132,9 @@ func New(slots int, tables TableSet, access AccessFunc) *Walker {
 		slots = 1
 	}
 	return &Walker{
-		slots:    slots,
-		tables:   tables,
-		access:   access,
-		inflight: make(map[key]int32),
+		slots:  slots,
+		tables: tables,
+		access: access,
 	}
 }
 
@@ -145,7 +148,7 @@ func New(slots int, tables TableSet, access AccessFunc) *Walker {
 // empty pool (and empty waiter slab and pending ring) and binds its own.
 // Stats (including the latency histogram) carry over by value.
 func (w *Walker) Clone(tables TableSet, access AccessFunc) *Walker {
-	if w.active != 0 || w.pendN != 0 || len(w.inflight) != 0 {
+	if w.active != 0 || w.pendN != 0 || w.inflight.Len() != 0 {
 		panic("walker: Clone while walks are in flight")
 	}
 	nw := New(w.slots, tables, access)
@@ -165,8 +168,8 @@ func (w *Walker) Queued() int { return w.pendN }
 // Walk requests a translation of (asid, va). done always fires exactly
 // once. Requests for a base page with a walk already in flight coalesce.
 func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, done DoneFunc) {
-	k := key{asid, va.BasePageNumber()}
-	if slot, ok := w.inflight[k]; ok {
+	k := mergeKey(asid, va)
+	if slot, ok := w.inflight.Get(k); ok {
 		w.waiters[slot] = append(w.waiters[slot], done)
 		w.stats.Coalesced++
 		return
@@ -180,7 +183,7 @@ func (w *Walker) Walk(now uint64, asid vmem.ASID, va vmem.VirtAddr, done DoneFun
 		w.waiters = append(w.waiters, nil)
 	}
 	w.waiters[slot] = append(w.waiters[slot], done)
-	w.inflight[k] = slot
+	w.inflight.Put(k, slot)
 	if w.active >= w.slots {
 		w.pushPending(request{asid, va})
 		if w.pendN > w.stats.MaxQueued {
@@ -252,9 +255,7 @@ func (w *Walker) finish(start, now uint64, r request) {
 	if !ok {
 		w.stats.Faults++
 	}
-	k := key{r.asid, r.va.BasePageNumber()}
-	slot := w.inflight[k]
-	delete(w.inflight, k)
+	slot, _ := w.inflight.Take(mergeKey(r.asid, r.va))
 	// Start a queued walk before delivering results so the freed slot is
 	// reused this cycle.
 	if w.pendN > 0 && w.active < w.slots {

@@ -227,7 +227,10 @@ type StreamGen struct {
 	runLeft    int // remaining same-page accesses before the next jump
 	runOff     uint64
 	remaining  int
-	rng        *rand.Rand
+	// rng is built from rngSeed on the first draw, so streams whose
+	// pattern never draws (stream, strided, stencil, sweep) never pay for
+	// a source (about 5 KB each).
+	rng *rand.Rand
 	// rngSeed and rngDraws record how to reconstruct rng: the source seed
 	// and how many Int63 values have been drawn. Clone replays the draw
 	// count against a fresh source so a forked stream continues the exact
@@ -281,7 +284,6 @@ func (s Spec) NewStream(cfg config.Config, warpIndex, warpCount int, seed int64)
 		slicePages:   slicePages,
 		sliceStart:   (uint64(warpIndex) * totalPages / uint64(warpCount)) % totalPages,
 		remaining:    s.AccessesPerWarp,
-		rng:          rand.New(rand.NewSource(rngSeed)),
 		rngSeed:      rngSeed,
 		lineSize:     uint64(cfg.L1CacheLineSz),
 		replayPos:    warpIndex,
@@ -290,9 +292,13 @@ func (s Spec) NewStream(cfg config.Config, warpIndex, warpCount int, seed int64)
 	return g
 }
 
-// randInt63 draws the next pseudo-random value, counting draws so Clone
-// can fast-forward a reconstructed source to the same position.
+// randInt63 draws the next pseudo-random value, seeding the source on the
+// first draw and counting draws so Clone can fast-forward a reconstructed
+// source to the same position.
 func (g *StreamGen) randInt63() int64 {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(g.rngSeed))
+	}
 	g.rngDraws++
 	return g.rng.Int63()
 }
@@ -302,12 +308,15 @@ func (g *StreamGen) randInt63() int64 {
 // point on. The Spec (including any replay trace) is shared read-only;
 // all mutable state — position, run state, and the pseudo-random source,
 // reconstructed from its seed and fast-forwarded by the recorded draw
-// count — is private to the clone.
+// count — is private to the clone. A stream that has never drawn has no
+// source yet, and neither has its clone.
 func (g *StreamGen) Clone() *StreamGen {
 	ng := *g
-	ng.rng = rand.New(rand.NewSource(g.rngSeed))
-	for i := uint64(0); i < g.rngDraws; i++ {
-		ng.rng.Int63()
+	if g.rng != nil {
+		ng.rng = rand.New(rand.NewSource(g.rngSeed))
+		for i := uint64(0); i < g.rngDraws; i++ {
+			ng.rng.Int63()
+		}
 	}
 	return &ng
 }
