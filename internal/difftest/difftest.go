@@ -38,6 +38,12 @@ type Fixture struct {
 	// Oversub, when positive, bounds the GPU page pool to the workload's
 	// scaled footprint divided by this ratio.
 	Oversub float64
+	// Mutate, when set, tweaks the policy's manager options (an
+	// ablation, applied through sim.Options.MutateManager).
+	Mutate func(*core.Options)
+	// FragIndex, FragOccupancy and DeallocFraction are the §6.4 stress
+	// knobs, passed through to sim.Options unchanged.
+	FragIndex, FragOccupancy, DeallocFraction float64
 }
 
 // Seed is the fixed seed every fixture runs under (matching the recorded
@@ -101,6 +107,41 @@ func MetricsFixtures() []Fixture {
 		}
 	}
 	return out
+}
+
+// AblationFixtures returns the matrix cells that pin the §6.4 manager
+// ablations: Mosaic and four single-knob variants of it (CAC-BC, Ideal
+// CAC, the migrating coalescer, and a TLB flush after every in-place
+// promotion) on a fully pre-fragmented pool with a late deallocation, so
+// every cell runs compaction. Their goldens live in this package's
+// testdata.
+func AblationFixtures() []Fixture {
+	var out []Fixture
+	for _, a := range []struct {
+		slug   string
+		mutate func(*core.Options)
+	}{
+		{"mosaic", nil},
+		{"cac-bc", func(o *core.Options) { o.CAC = core.CACBulkCopy }},
+		{"cac-ideal", func(o *core.Options) { o.CAC = core.CACIdeal }},
+		{"coalesce-migrate", func(o *core.Options) { o.Coalesce = core.CoalesceMigrate }},
+		{"flush-on-coalesce", func(o *core.Options) { o.FlushOnCoalesce = true }},
+	} {
+		out = append(out, Fixture{
+			Slug: "ablation-" + a.slug, Policy: core.Mosaic, Mutate: a.mutate,
+			Apps: []string{"HS", "CONS"}, MaxWarpInstructions: 128,
+			FragIndex: 1, FragOccupancy: 0.5, DeallocFraction: 0.9,
+		})
+	}
+	return out
+}
+
+// SimOptions returns the simulator options the fixture runs under.
+func (fx Fixture) SimOptions() sim.Options {
+	return sim.Options{
+		Policy: fx.Policy, Seed: Seed, MutateManager: fx.Mutate,
+		FragIndex: fx.FragIndex, FragOccupancy: fx.FragOccupancy, DeallocFraction: fx.DeallocFraction,
+	}
 }
 
 // Build resolves a fixture to its exact run inputs: the FastTest config

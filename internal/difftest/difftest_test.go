@@ -43,18 +43,17 @@ func fifoFixture() Fixture {
 	}
 }
 
-// fifoGolden reads (or, under -update, records) the difftest-owned
-// FIFO-MMU golden.
-func fifoGolden(t *testing.T) []byte {
+// ownedGolden reads (or, under -update, records) a difftest-owned
+// golden: the FIFO-MMU cell and the ablation cells.
+func ownedGolden(t *testing.T, fx Fixture) []byte {
 	t.Helper()
-	path := filepath.Join("testdata", "runrecord-oversub-2x-fifo.golden.json")
+	path := filepath.Join("testdata", "runrecord-"+fx.Slug+".golden.json")
 	if *update {
-		fx := fifoFixture()
 		cfg, wl, err := fx.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+		got, err := RecordBytes(cfg, wl, fx.SimOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +66,7 @@ func fifoGolden(t *testing.T) []byte {
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading fifo golden (run with -update to create): %v", err)
+		t.Fatalf("reading %s golden (run with -update to create): %v", fx.Slug, err)
 	}
 	return b
 }
@@ -91,7 +90,7 @@ func TestDifferentialMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+			got, err := RecordBytes(cfg, wl, fx.SimOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,14 +156,14 @@ func TestDifferentialMatrixJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
 	}
-	fixtures := append(MetricsFixtures(), fifoFixture())
-	wants := make([][]byte, len(fixtures))
-	for i, fx := range fixtures {
-		if fx.Slug == "oversub-2x-fifo" {
-			wants[i] = fifoGolden(t)
-		} else {
-			wants[i] = metricsGolden(t, fx.Slug)
-		}
+	fixtures := MetricsFixtures()
+	wants := make([][]byte, 0, len(fixtures))
+	for _, fx := range fixtures {
+		wants = append(wants, metricsGolden(t, fx.Slug))
+	}
+	for _, fx := range append(AblationFixtures(), fifoFixture()) {
+		fixtures = append(fixtures, fx)
+		wants = append(wants, ownedGolden(t, fx))
 	}
 	got := make([][]byte, len(fixtures))
 	errs := make([]error, len(fixtures))
@@ -178,7 +177,7 @@ func TestDifferentialMatrixJobs(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			got[i], errs[i] = RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+			got[i], errs[i] = RecordBytes(cfg, wl, fx.SimOptions())
 		})
 	}
 	r.Wait()
@@ -206,6 +205,7 @@ func TestSnapshotForkDifferential(t *testing.T) {
 		{Slug: "mix4-gpummu2m", Policy: core.GPUMMU2M, Apps: []string{"HS", "CONS", "BFS2", "RED"}, MaxWarpInstructions: 128},
 		{Slug: "oversub-2x-mosaic", Policy: core.Mosaic, Apps: []string{"SWP-S", "SWP-D"}, MaxWarpInstructions: 1024, Oversub: 2},
 		fifoFixture(),
+		AblationFixtures()[1],
 	}
 	for _, fx := range cells {
 		fx := fx
@@ -215,7 +215,8 @@ func TestSnapshotForkDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := sim.Options{Policy: fx.Policy, Seed: Seed, SnapshotWarmup: 20000}
+			opt := fx.SimOptions()
+			opt.SnapshotWarmup = 20000
 			cold, err := RecordBytes(cfg, wl, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -231,6 +232,61 @@ func TestSnapshotForkDifferential(t *testing.T) {
 	}
 }
 
+// TestAblationGoldens pins the §6.4 ablations Mosaic's options express
+// — CAC-BC, Ideal CAC, the migrating coalescer and flush-on-coalesce —
+// byte for byte, and checks each golden exercises what it pins:
+// compaction runs in every cell, CAC-BC bulk-copies, Ideal CAC never
+// stalls while CAC does, and the coalescer variants change the run.
+func TestAblationGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential matrix is long under -short")
+	}
+	type managerStats struct {
+		Cycles  uint64
+		Manager core.Stats
+	}
+	stats := make(map[string]managerStats)
+	for _, fx := range AblationFixtures() {
+		want := ownedGolden(t, fx)
+		cfg, wl, err := fx.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RecordBytes(cfg, wl, fx.SimOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s deviates from its golden:\n%s", fx.Slug, got)
+		}
+		var st managerStats
+		if err := json.Unmarshal(want, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Manager.Compactions == 0 {
+			t.Errorf("%s golden ran no compaction: %+v", fx.Slug, st.Manager)
+		}
+		stats[fx.Slug] = st
+	}
+	cac, bc, ideal := stats["ablation-mosaic"], stats["ablation-cac-bc"], stats["ablation-cac-ideal"]
+	if bc.Manager.BulkCopies == 0 {
+		t.Errorf("CAC-BC golden made no bulk copies: %+v", bc.Manager)
+	}
+	if cac.Manager.BulkCopies != 0 || cac.Manager.StallCycles == 0 {
+		t.Errorf("CAC golden bulk-copied or never stalled: %+v", cac.Manager)
+	}
+	if ideal.Manager.StallCycles != 0 || ideal.Manager.StallCycles == cac.Manager.StallCycles {
+		t.Errorf("Ideal CAC stalled %d cycles, CAC %d: want 0 and nonzero",
+			ideal.Manager.StallCycles, cac.Manager.StallCycles)
+	}
+	if mig := stats["ablation-coalesce-migrate"]; mig.Manager.MigratedPages <= cac.Manager.MigratedPages {
+		t.Errorf("migrating coalescer moved %d pages, CAC alone %d", mig.Manager.MigratedPages, cac.Manager.MigratedPages)
+	}
+	if flush := stats["ablation-flush-on-coalesce"]; flush.Cycles == cac.Cycles {
+		t.Errorf("flush-on-coalesce ran the same %d cycles as Mosaic", cac.Cycles)
+	}
+}
+
 // TestFIFOPolicyDiffers pins the out-of-tree policy's own golden and
 // proves it is a genuinely different manager: its record must differ
 // from Mosaic's on the identical workload, and its digest identity must
@@ -239,13 +295,13 @@ func TestFIFOPolicyDiffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
 	}
-	want := fifoGolden(t)
 	fx := fifoFixture()
+	want := ownedGolden(t, fx)
 	cfg, wl, err := fx.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RecordBytes(cfg, wl, sim.Options{Policy: fx.Policy, Seed: Seed})
+	got, err := RecordBytes(cfg, wl, fx.SimOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +311,7 @@ func TestFIFOPolicyDiffers(t *testing.T) {
 	if mosaicGolden := metricsGolden(t, "oversub-2x-mosaic"); bytes.Equal(want, mosaicGolden) {
 		t.Error("FIFO-MMU record is identical to Mosaic's: the residency seam is not being dispatched")
 	}
-	if dFifo, dMosaic := sim.Digest(cfg, sim.Options{Policy: fx.Policy, Seed: Seed}),
+	if dFifo, dMosaic := sim.Digest(cfg, fx.SimOptions()),
 		sim.Digest(cfg, sim.Options{Policy: core.Mosaic, Seed: Seed}); dFifo == dMosaic {
 		t.Errorf("FIFO-MMU shares Mosaic's config digest %s; policy identity must key the digest", dFifo)
 	}
