@@ -16,6 +16,23 @@ import (
 // frame (mirrors vmem.BasePagesPerLarge; config stays dependency-free).
 const BasePagesPerLargeFrame = 512
 
+// Ceilings on the sizes a simulator allocates up front. Each sits well
+// above every value the paper's figures and sweeps use, so it only turns
+// a configuration (or request) that would exhaust host memory into an
+// error.
+const (
+	MaxSMs                  = 256
+	MaxWarpsPerSM           = 256
+	MaxL1TLBEntries         = 1 << 13 // per SM, per page size
+	MaxL2TLBEntries         = 1 << 16 // per page size
+	MaxPageWalkCacheEntries = 1 << 16
+	MaxL1CacheLines         = 1 << 14 // per SM
+	MaxL2CacheLines         = 1 << 20
+	MaxMemoryPartitions     = 64
+	MaxDRAMBanksPerChannel  = 256
+	MaxTotalDRAMBytes       = 1 << 40
+)
+
 // Config describes one simulated GPU system. The zero value is not usable;
 // start from Default and adjust.
 type Config struct {
@@ -291,6 +308,8 @@ func (c Config) Validate() error {
 		return errors.New("config: L1 cache geometry must be positive")
 	case c.L1CacheBytes%(c.L1CacheLineSz*c.L1CacheWays) != 0:
 		return errors.New("config: L1 cache bytes must divide into ways*lines")
+	case c.L2CacheBytes <= 0 || c.L2CacheLineSz <= 0 || c.L2CacheWays <= 0:
+		return errors.New("config: L2 cache geometry must be positive")
 	case c.L2CacheBytes%(c.L2CacheLineSz*c.L2CacheWays) != 0:
 		return errors.New("config: L2 cache bytes must divide into ways*lines")
 	case c.L2CachePorts <= 0:
@@ -325,6 +344,33 @@ func (c Config) Validate() error {
 		return errors.New("config: WorkloadScale must be positive")
 	case c.MaxCycles == 0:
 		return errors.New("config: MaxCycles must be positive")
+	}
+	return c.validateCeilings()
+}
+
+// validateCeilings rejects sizes above the ceilings. Validate calls it
+// after the geometry checks, so every divisor here is positive.
+func (c Config) validateCeilings() error {
+	for _, b := range []struct {
+		name       string
+		value, max uint64
+	}{
+		{"NumSMs", uint64(c.NumSMs), MaxSMs},
+		{"WarpsPerSM", uint64(c.WarpsPerSM), MaxWarpsPerSM},
+		{"L1TLBBaseEntries", uint64(c.L1TLBBaseEntries), MaxL1TLBEntries},
+		{"L1TLBLargeEntries", uint64(c.L1TLBLargeEntries), MaxL1TLBEntries},
+		{"L2TLBBaseEntries", uint64(c.L2TLBBaseEntries), MaxL2TLBEntries},
+		{"L2TLBLargeEntries", uint64(c.L2TLBLargeEntries), MaxL2TLBEntries},
+		{"PageWalkCacheEntries", uint64(c.PageWalkCacheEntries), MaxPageWalkCacheEntries},
+		{"L1 cache lines", uint64(c.L1CacheBytes / c.L1CacheLineSz), MaxL1CacheLines},
+		{"L2 cache lines", uint64(c.L2CacheBytes / c.L2CacheLineSz), MaxL2CacheLines},
+		{"MemoryPartitons", uint64(c.MemoryPartitons), MaxMemoryPartitions},
+		{"DRAMBanksPerChannel", uint64(c.DRAMBanksPerChannel), MaxDRAMBanksPerChannel},
+		{"TotalDRAMBytes", c.TotalDRAMBytes, MaxTotalDRAMBytes},
+	} {
+		if b.value > b.max {
+			return fmt.Errorf("config: %s (%d) exceeds the ceiling %d", b.name, b.value, b.max)
+		}
 	}
 	return nil
 }

@@ -127,6 +127,20 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"bad levels", func(c *Config) { c.PageTableLevels = 3 }},
 		{"bad L1 cache", func(c *Config) { c.L1CacheBytes = 100 }},
 		{"bad L2 cache", func(c *Config) { c.L2CacheBytes = 100 }},
+		{"zero L2 cache line", func(c *Config) { c.L2CacheLineSz = 0 }},
+		{"zero L2 cache ways", func(c *Config) { c.L2CacheWays = 0 }},
+		{"SMs above ceiling", func(c *Config) { c.NumSMs = MaxSMs + 1 }},
+		{"warps above ceiling", func(c *Config) { c.WarpsPerSM = 1 << 30 }},
+		{"L1 TLB above ceiling", func(c *Config) { c.L1TLBBaseEntries = MaxL1TLBEntries + 1 }},
+		{"L1 TLB large above ceiling", func(c *Config) { c.L1TLBLargeEntries = MaxL1TLBEntries + 1 }},
+		{"L2 TLB above ceiling", func(c *Config) { c.L2TLBBaseEntries, c.L2TLBBaseWays = MaxL2TLBEntries*2, 16 }},
+		{"L2 TLB large above ceiling", func(c *Config) { c.L2TLBLargeEntries = MaxL2TLBEntries + 1 }},
+		{"page-walk cache above ceiling", func(c *Config) { c.PageWalkCacheEntries = MaxPageWalkCacheEntries + 1 }},
+		{"L1 cache above ceiling", func(c *Config) { c.L1CacheBytes = 2 * MaxL1CacheLines * c.L1CacheLineSz }},
+		{"L2 cache above ceiling", func(c *Config) { c.L2CacheBytes = 2 * MaxL2CacheLines * c.L2CacheLineSz }},
+		{"partitions above ceiling", func(c *Config) { c.MemoryPartitons = MaxMemoryPartitions + 1 }},
+		{"banks above ceiling", func(c *Config) { c.DRAMBanksPerChannel = MaxDRAMBanksPerChannel + 1 }},
+		{"DRAM above ceiling", func(c *Config) { c.TotalDRAMBytes = 2 * MaxTotalDRAMBytes }},
 		{"zero partitions", func(c *Config) { c.MemoryPartitons = 0 }},
 		{"zero banks", func(c *Config) { c.DRAMBanksPerChannel = 0 }},
 		{"row miss < hit", func(c *Config) { c.DRAMRowMissCycles = c.DRAMRowHitCycles - 1 }},
@@ -161,6 +175,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	c.IOBaseOccupancyCycles = 0
 	if err := c.Validate(); err != nil {
 		t.Errorf("bus-off config rejected for dormant paging knobs: %v", err)
+	}
+
+	// Every ceiling admits its own value.
+	c = Default()
+	c.NumSMs, c.WarpsPerSM = MaxSMs, MaxWarpsPerSM
+	c.L1TLBBaseEntries, c.L1TLBLargeEntries = MaxL1TLBEntries, MaxL1TLBEntries
+	c.L2TLBBaseEntries, c.L2TLBLargeEntries = MaxL2TLBEntries, MaxL2TLBEntries
+	c.PageWalkCacheEntries = MaxPageWalkCacheEntries
+	c.MemoryPartitons, c.DRAMBanksPerChannel = MaxMemoryPartitions, MaxDRAMBanksPerChannel
+	c.TotalDRAMBytes = MaxTotalDRAMBytes
+	if err := c.Validate(); err != nil {
+		t.Errorf("config at the ceilings rejected: %v", err)
 	}
 
 	// A sane residency bound passes.

@@ -36,14 +36,7 @@ func (s *System) splinterAndCompact(now uint64, a *appState, asid vmem.ASID, reg
 		dst, ok := s.findCompactionDst(asid, frameIdx, mappings[i].Frame, taken)
 		if !ok {
 			s.splinterRegion(now, a, asid, regionVA, frameIdx)
-			var free []alloc.PageRef
-			f := s.pool.Frame(frameIdx)
-			for slot := 0; slot < vmem.BasePagesPerLarge; slot++ {
-				if !f.Allocated(slot) {
-					free = append(free, alloc.PageRef{Frame: frameIdx, Slot: slot})
-				}
-			}
-			s.cocoa.ReleaseSlots(asid, free)
+			s.releaseFreeSlots(asid, frameIdx)
 			return
 		}
 		taken[dst] = true
@@ -72,21 +65,10 @@ func (s *System) splinterAndCompact(now uint64, a *appState, asid vmem.ASID, reg
 		}
 		a.pagesPerFrame[mv.dst.Frame]++
 		s.flushBaseEntry(asid, va)
-		s.stats.MigratedPages++
 		s.trace.Record(trace.Event{Cycle: now, Kind: trace.EvMigration, ASID: asid, VA: va, Size: vmem.BasePageSize})
-
-		fin, bulk := s.cost.CopyPage(now, s.mem, mv.src, dstPA)
-		if bulk {
-			s.stats.BulkCopies++
-		}
-		if fin > last {
-			last = fin
-		}
+		last = s.migratePage(now, last, mv.src, dstPA)
 	}
-	if s.cost.Stalls() {
-		s.stall(last)
-	}
-	s.stats.Compactions++
+	s.endCompaction(last)
 	s.trace.Record(trace.Event{Cycle: now, Kind: trace.EvCompaction, ASID: asid, VA: regionVA})
 
 	if s.pool.Frame(frameIdx).Count == 0 {
@@ -148,22 +130,49 @@ func (s *System) compactFragmented(now uint64) bool {
 		if err := s.pool.FreeSlot(srcRef); err != nil {
 			return false
 		}
-		dstPA := s.pool.Addr(dst)
-		s.stats.MigratedPages++
-		fin, bulk := s.cost.CopyPage(now, s.mem, srcPA, dstPA)
-		if bulk {
-			s.stats.BulkCopies++
-		}
-		if fin > last {
-			last = fin
+		last = s.migratePage(now, last, srcPA, s.pool.Addr(dst))
+	}
+	s.endCompaction(last)
+	s.mustReturnFrame(src)
+	return true
+}
+
+// migratePage copies one compacted page's data from src to dst at cycle
+// now, counts it, and returns the later of last and the copy's
+// completion cycle.
+func (s *System) migratePage(now, last uint64, src, dst vmem.PhysAddr) uint64 {
+	s.stats.MigratedPages++
+	fin, bulk := s.copyPage(now, src, dst)
+	if bulk {
+		s.stats.BulkCopies++
+	}
+	return max(last, fin)
+}
+
+// copyPage performs one base-page copy under the configured CAC variant
+// and reports its completion cycle and whether it was an in-DRAM bulk
+// copy. Ideal CAC moves nothing; CAC-BC bulk-copies (RowClone/LISA)
+// within a channel and copies narrow across channels; CAC copies narrow.
+func (s *System) copyPage(now uint64, src, dst vmem.PhysAddr) (fin uint64, bulk bool) {
+	switch s.opt.CAC {
+	case CACIdeal:
+		return now, false
+	case CACBulkCopy:
+		if fin, err := s.mem.CopyPageBulk(now, src, dst, nil); err == nil {
+			return fin, true
 		}
 	}
-	if s.cost.Stalls() {
+	return s.mem.CopyPageNarrow(now, src, dst, nil), false
+}
+
+// endCompaction closes one compaction whose last copy completes at cycle
+// last: every CAC variant but Ideal CAC stalls the GPU until then (the
+// paper's conservative §5 model).
+func (s *System) endCompaction(last uint64) {
+	if s.opt.CAC != CACIdeal {
 		s.stall(last)
 	}
 	s.stats.Compactions++
-	s.mustReturnFrame(src)
-	return true
 }
 
 // findFragDst locates a free slot in another fragmented frame, preferring

@@ -34,7 +34,7 @@ func FuzzPolicyConfig(f *testing.F) {
 				t.Fatalf("ParsePolicy(%q) error is not typed: %v", name, err)
 			}
 			// Unknown names must also fail closed at option resolution.
-			if _, err := ResolveOptions(Policy(1 << 20), config.FastTest()); !errors.Is(err, ErrUnknownPolicy) {
+			if _, err := ResolveOptions(Policy(1<<20), config.FastTest()); !errors.Is(err, ErrUnknownPolicy) {
 				t.Fatalf("ResolveOptions on wild id is not typed: %v", err)
 			}
 			return

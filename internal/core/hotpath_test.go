@@ -34,30 +34,23 @@ func pagedRig(t *testing.T) *testRig {
 }
 
 // TestPolicySeamDispatchAllocFree guards the steady-state cost of the
-// extracted policy seams: once a System is built, consulting the
-// placement, coalesce, fill, and residency components must not allocate.
-// These interface calls sit on the translate/fault hot path, so a policy
-// implementation that allocates per query would show up in every run.
+// one policy seam, the residency order: once a pager is built, touching
+// an entry and asking for the next victim must not allocate. These
+// interface calls sit on the fault hot path, so a residency policy that
+// allocates per query would show up in every bounded run.
 func TestPolicySeamDispatchAllocFree(t *testing.T) {
-	r := pagedRig(t)
-	s := r.sys
-	p := s.pager
+	p := pagedRig(t).sys.pager
 	e := p.res.Victim()
 	if e == nil {
 		t.Fatal("warm pager has no victim")
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		_ = s.place.WholeFrame(true)
-		_ = s.coalp.Promote()
-		_ = s.coalp.CompactionEnabled()
-		_ = s.fill.Bypass()
-		_ = s.fill.LargeFill()
 		p.res.Touch(e)
 		if p.res.Victim() == nil {
 			t.Fatal("victim vanished")
 		}
 	}); avg != 0 {
-		t.Fatalf("policy seam dispatch allocates %.1f objects/op, want 0", avg)
+		t.Fatalf("residency dispatch allocates %.1f objects/op, want 0", avg)
 	}
 }
 

@@ -139,7 +139,7 @@ func newPager(s *System) *pager {
 		s:       s,
 		budget:  s.cfg.MaxResidentPages,
 		entries: make(map[pagerKey]*PageEntry),
-		res:     s.newRes(),
+		res:     residencyFor(s.opt.Policy)(),
 	}
 }
 
@@ -209,7 +209,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 		// page-in transfer queues behind the outbound data.
 	} else {
 		pages := uint64(1)
-		if s.fill.LargeFill() {
+		if s.opt.Fault == FaultLarge {
 			pages = vmem.BasePagesPerLarge
 		}
 		e = p.newEntry(asid, key, pages)
@@ -254,7 +254,7 @@ func (p *pager) issue(now uint64, e *PageEntry) {
 	}
 	e.state = pagePendingIn
 	size := vmem.Base
-	if s.fill.LargeFill() {
+	if s.opt.Fault == FaultLarge {
 		size = vmem.Large
 	}
 	fin := s.bus.Transfer(now, size, e.landFn)
@@ -348,7 +348,7 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 	s := p.s
 	group := append(p.group[:0], victim)
 	size := vmem.Base
-	if s.fill.LargeFill() {
+	if s.opt.Fault == FaultLarge {
 		size = vmem.Large
 	} else if a, err := s.app(victim.asid); err == nil && a.table.IsCoalesced(victim.va) {
 		// Gather every resident sibling of the victim's 2MB region.

@@ -1,12 +1,14 @@
 package core
 
-// This file is the pluggable policy pipeline: the five seam interfaces a
-// memory-manager policy is composed of, the name-keyed registry that maps
-// policy names (wire and display) to their composition, and the default
-// component implementations that re-express the four paper managers
-// through the seams. The System hot paths dispatch exclusively through
-// the interfaces; components are boxed once at NewSystem so steady-state
-// dispatch allocates nothing (pinned by AllocsPerRun guards).
+// This file is the memory-manager policy registry: the name-keyed table
+// that maps policy names (wire and display) to the Options a manager
+// runs under, plus the one behavior seam Options cannot express — the
+// residency order a bounded page pool evicts by (LRU built in, FIFO out
+// of tree in internal/policies/fifoevict). Every other manager decision
+// (allocator, coalescing, CAC variant, fault granularity, translation
+// bypass) is an Options field the System reads directly. The residency
+// policy is boxed once per pager, so steady-state dispatch allocates
+// nothing (pinned by AllocsPerRun guards).
 //
 // Identity contract: a policy's display Name is what Options.Policy's
 // String() returns, and that string feeds the ConfigDigest (the digest
@@ -19,69 +21,17 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/config"
-	"repro/internal/dram"
-	"repro/internal/vmem"
 )
 
 // ErrUnknownPolicy is returned (wrapped, with the offending name) when a
 // policy name or id has no registration.
 var ErrUnknownPolicy = errors.New("core: unknown policy")
 
-// ---- seam interfaces ----
-
-// PlacementPolicy decides allocation placement granularity: whether a
-// chunk of a virtual allocation should be backed by one whole 2MB frame
-// (true) or filled with base pages (false). fullRegion reports whether
-// the chunk covers an entire aligned 2MB region. The decision only
-// applies when the allocator can hand out whole frames (CoCoA).
-type PlacementPolicy interface {
-	// WholeFrame reports whether to back the current chunk with a whole
-	// large frame.
-	WholeFrame(fullRegion bool) bool
-}
-
-// CoalescePolicy decides large-page promotion and compaction behavior.
-type CoalescePolicy interface {
-	// Promote reports whether fully-populated regions are considered for
-	// promotion to a large page at all.
-	Promote() bool
-	// MigrateOnPromote reports whether promotion migrates the base pages
-	// into a fresh frame first (the conventional coalescer of Fig. 6a)
-	// instead of flipping PTE bits in place.
-	MigrateOnPromote() bool
-	// FlushOnPromote reports whether a successful promotion must be
-	// followed by a full TLB flush.
-	FlushOnPromote() bool
-	// CompactionEnabled reports whether CAC may splinter-and-compact
-	// shrunk regions and recover frames under allocation pressure.
-	CompactionEnabled() bool
-}
-
-// FillPolicy decides translation and demand-paging fill granularity.
-type FillPolicy interface {
-	// Bypass reports whether every translation is treated as an L1 TLB
-	// hit (the Ideal-TLB upper bound).
-	Bypass() bool
-	// LargeFill reports whether demand paging transfers whole 2MB pages
-	// (and tracks residency at large-page granularity) instead of 4KB.
-	LargeFill() bool
-}
-
-// CostModel prices a one-page data migration (CAC and the migrating
-// coalescer ablation). Implementations must be side-effect-free beyond
-// the DRAM calls they choose to make: the ideal model makes none.
-type CostModel interface {
-	// CopyPage performs (or models) one base-page copy at cycle now and
-	// returns the completion cycle plus whether an in-DRAM bulk copy was
-	// used. A zero-cost model returns (now, false) without touching mem.
-	CopyPage(now uint64, mem *dram.DRAM, src, dst vmem.PhysAddr) (fin uint64, bulk bool)
-	// Stalls reports whether migrations stall the GPU until the last
-	// copy completes (the paper's conservative §5 model).
-	Stalls() bool
-}
+// ---- residency seam ----
 
 // ResidencyPolicy orders resident pages for victim selection under a
 // bounded GPU page pool. The pager calls Insert when a page becomes
@@ -111,147 +61,6 @@ type ResidencyPolicy interface {
 	// each tracked entry through remap.
 	Clone(remap func(*PageEntry) *PageEntry) ResidencyPolicy
 }
-
-// Components is one policy's composition across the five seams. Nil
-// fields are filled from DefaultComponents at System construction.
-type Components struct {
-	// Placement decides whole-frame vs base-page backing.
-	Placement PlacementPolicy
-	// Coalesce decides promotion and compaction.
-	Coalesce CoalescePolicy
-	// Fill decides translation bypass and paging granularity.
-	Fill FillPolicy
-	// Cost prices page migrations.
-	Cost CostModel
-	// Residency constructs the victim-selection state for a bounded
-	// page pool; called once per pager (factory, because the policy
-	// holds mutable per-run state).
-	Residency func() ResidencyPolicy
-}
-
-// fill replaces nil fields with the option-derived defaults.
-func (c Components) fill(opt Options) Components {
-	d := DefaultComponents(opt)
-	if c.Placement == nil {
-		c.Placement = d.Placement
-	}
-	if c.Coalesce == nil {
-		c.Coalesce = d.Coalesce
-	}
-	if c.Fill == nil {
-		c.Fill = d.Fill
-	}
-	if c.Cost == nil {
-		c.Cost = d.Cost
-	}
-	if c.Residency == nil {
-		c.Residency = d.Residency
-	}
-	return c
-}
-
-// ---- default (option-derived) components ----
-
-// DefaultComponents derives the component set the Options knobs describe
-// — exactly the behavior the four paper managers had when these decisions
-// were inline branches. Custom policies can take the defaults for most
-// seams and override the one they change.
-func DefaultComponents(opt Options) Components {
-	var cost CostModel
-	switch opt.CAC {
-	case CACIdeal:
-		cost = idealCost{}
-	case CACBulkCopy:
-		cost = bulkCost{}
-	default:
-		cost = narrowCost{}
-	}
-	return Components{
-		Placement: optPlacement{largeFault: opt.Fault == FaultLarge},
-		Coalesce: optCoalesce{
-			mode:    opt.Coalesce,
-			flush:   opt.FlushOnCoalesce,
-			compact: opt.CAC != CACOff,
-		},
-		Fill:      optFill{bypass: opt.Bypass, large: opt.Fault == FaultLarge},
-		Cost:      cost,
-		Residency: NewLRUResidency,
-	}
-}
-
-// optPlacement is the option-derived placement rule: whole frames for
-// fully covered regions, and for everything under 2MB-only fill.
-type optPlacement struct{ largeFault bool }
-
-// WholeFrame implements PlacementPolicy.
-func (p optPlacement) WholeFrame(fullRegion bool) bool { return fullRegion || p.largeFault }
-
-// optCoalesce is the option-derived coalesce/compaction rule.
-type optCoalesce struct {
-	mode    CoalesceMode
-	flush   bool
-	compact bool
-}
-
-// Promote implements CoalescePolicy.
-func (c optCoalesce) Promote() bool { return c.mode != CoalesceOff }
-
-// MigrateOnPromote implements CoalescePolicy.
-func (c optCoalesce) MigrateOnPromote() bool { return c.mode == CoalesceMigrate }
-
-// FlushOnPromote implements CoalescePolicy.
-func (c optCoalesce) FlushOnPromote() bool { return c.flush || c.mode == CoalesceMigrate }
-
-// CompactionEnabled implements CoalescePolicy.
-func (c optCoalesce) CompactionEnabled() bool { return c.compact }
-
-// optFill is the option-derived fill rule.
-type optFill struct{ bypass, large bool }
-
-// Bypass implements FillPolicy.
-func (f optFill) Bypass() bool { return f.bypass }
-
-// LargeFill implements FillPolicy.
-func (f optFill) LargeFill() bool { return f.large }
-
-// narrowCost copies pages over the narrow 64-bit/cycle channel interface
-// (baseline CAC) and stalls the GPU.
-type narrowCost struct{}
-
-// CopyPage implements CostModel.
-func (narrowCost) CopyPage(now uint64, mem *dram.DRAM, src, dst vmem.PhysAddr) (uint64, bool) {
-	return mem.CopyPageNarrow(now, src, dst, nil), false
-}
-
-// Stalls implements CostModel.
-func (narrowCost) Stalls() bool { return true }
-
-// bulkCost uses the in-DRAM bulk copy (RowClone/LISA) when source and
-// destination share a channel, falling back to the narrow copy.
-type bulkCost struct{}
-
-// CopyPage implements CostModel.
-func (bulkCost) CopyPage(now uint64, mem *dram.DRAM, src, dst vmem.PhysAddr) (uint64, bool) {
-	if fin, err := mem.CopyPageBulk(now, src, dst, nil); err == nil {
-		return fin, true
-	}
-	return mem.CopyPageNarrow(now, src, dst, nil), false
-}
-
-// Stalls implements CostModel.
-func (bulkCost) Stalls() bool { return true }
-
-// idealCost is the zero-cost compaction upper bound: no data movement is
-// modeled and the GPU never stalls.
-type idealCost struct{}
-
-// CopyPage implements CostModel.
-func (idealCost) CopyPage(now uint64, _ *dram.DRAM, _, _ vmem.PhysAddr) (uint64, bool) {
-	return now, false
-}
-
-// Stalls implements CostModel.
-func (idealCost) Stalls() bool { return false }
 
 // ---- residency building blocks ----
 
@@ -373,10 +182,10 @@ type PolicySpec struct {
 	// registry stamps the returned Options' Policy field; implementations
 	// leave it zero.
 	Options func(cfg config.Config) Options
-	// Components optionally overrides seam components (nil fields fall
-	// back to the option-derived defaults). A nil Components means all
-	// defaults.
-	Components func(opt Options, cfg config.Config) Components
+	// Residency constructs the victim order for a bounded page pool,
+	// once per pager (a factory, because the order is mutable per-run
+	// state). Nil means least recently used (NewLRUResidency).
+	Residency func() ResidencyPolicy
 }
 
 var policyReg = struct {
@@ -456,14 +265,7 @@ func knownWiresLocked() string {
 		names = append(names, w)
 	}
 	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return strings.Join(names, ", ")
 }
 
 // PolicyNames returns the registered wire names in registration order
@@ -491,17 +293,13 @@ func ResolveOptions(p Policy, cfg config.Config) (Options, error) {
 	return o, nil
 }
 
-// componentsFor composes the seam components for a manager: the policy's
-// overrides (when registered and provided) over the option-derived
-// defaults. Options mutated after resolution (ablations via
-// MutateManager) flow into the defaults, so knob tweaks keep working for
-// registry policies too.
-func componentsFor(opt Options, cfg config.Config) Components {
-	spec, ok := LookupPolicy(opt.Policy)
-	if ok && spec.Components != nil {
-		return spec.Components(opt, cfg).fill(opt)
+// residencyFor returns the residency factory a policy registered, or
+// NewLRUResidency when it registered none (or is not registered).
+func residencyFor(p Policy) func() ResidencyPolicy {
+	if spec, ok := LookupPolicy(p); ok && spec.Residency != nil {
+		return spec.Residency
 	}
-	return Components{}.fill(opt)
+	return NewLRUResidency
 }
 
 // ---- built-in registrations ----

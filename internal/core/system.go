@@ -79,16 +79,6 @@ type System struct {
 	bus *iobus.Bus
 	mem *dram.DRAM
 
-	// Policy seam components (policy.go): every placement, coalesce,
-	// fill, costing, and residency decision dispatches through these.
-	// They are boxed once here so steady-state dispatch allocates
-	// nothing (pinned by AllocsPerRun guards).
-	place  PlacementPolicy
-	coalp  CoalescePolicy
-	fill   FillPolicy
-	cost   CostModel
-	newRes func() ResidencyPolicy
-
 	pool     *alloc.Pool
 	cocoa    *alloc.CoCoA
 	baseline *alloc.Baseline
@@ -137,18 +127,12 @@ func NewSystem(cfg config.Config, opt Options, q *event.Queue, bus *iobus.Bus, m
 	if err != nil {
 		return nil, err
 	}
-	comps := componentsFor(opt, cfg)
 	s := &System{
 		cfg:             cfg,
 		opt:             opt,
 		q:               q,
 		bus:             bus,
 		mem:             mem,
-		place:           comps.Placement,
-		coalp:           comps.Coalesce,
-		fill:            comps.Fill,
-		cost:            comps.Cost,
-		newRes:          comps.Residency,
 		pool:            pool,
 		apps:            make(map[vmem.ASID]*appState),
 		ptNext:          vmem.PhysAddr(usable),
@@ -167,7 +151,7 @@ func NewSystem(cfg config.Config, opt Options, q *event.Queue, bus *iobus.Bus, m
 	}
 	// The ideal TLB stands in for a system unconstrained by memory
 	// management, so it is exempt from the residency bound too.
-	if cfg.MaxResidentPages > 0 && cfg.IOBusEnabled && !s.fill.Bypass() {
+	if cfg.MaxResidentPages > 0 && cfg.IOBusEnabled && !opt.Bypass {
 		s.pager = newPager(s)
 	}
 	return s, nil
@@ -191,11 +175,6 @@ func (s *System) Clone(q *event.Queue, bus *iobus.Bus, mem *dram.DRAM) *System {
 		q:               q,
 		bus:             bus,
 		mem:             mem,
-		place:           s.place,
-		coalp:           s.coalp,
-		fill:            s.fill,
-		cost:            s.cost,
-		newRes:          s.newRes,
 		pool:            s.pool.Clone(),
 		apps:            make(map[vmem.ASID]*appState, len(s.apps)),
 		ptNext:          s.ptNext,
@@ -279,7 +258,7 @@ func (s *System) AllocatorStats() alloc.Stats {
 
 // TranslationBypass reports whether the simulator should treat every
 // translation as an L1 TLB hit (Ideal TLB configuration).
-func (s *System) TranslationBypass() bool { return s.fill.Bypass() }
+func (s *System) TranslationBypass() bool { return s.opt.Bypass }
 
 // StallUntil returns the cycle until which the whole GPU is stalled by a
 // management operation (the worst-case CAC model of §5).
@@ -381,7 +360,7 @@ func (s *System) AllocVirtual(now uint64, asid vmem.ASID, va vmem.VirtAddr, size
 		regionEnd := cur.LargePageBase() + vmem.LargePageSize
 		fullRegion := cur.IsLargeAligned() && regionEnd <= end
 		switch {
-		case s.cocoa != nil && s.place.WholeFrame(fullRegion):
+		case s.cocoa != nil && (fullRegion || s.opt.Fault == FaultLarge):
 			// The 2MB-only manager backs even partial regions with a
 			// whole frame (this is where its memory bloat comes from).
 			if err := s.allocRegion(now, a, asid, cur.LargePageBase()); err != nil {
@@ -477,14 +456,14 @@ func (s *System) allocBasePage(now uint64, asid vmem.ASID) (vmem.PhysAddr, error
 // maybeCoalesce runs the In-Place Coalescer (or its migrating ablation)
 // on a fully-allocated region.
 func (s *System) maybeCoalesce(now uint64, a *appState, asid vmem.ASID, regionVA vmem.VirtAddr, frameIdx int) {
-	if !s.coalp.Promote() {
+	if s.opt.Coalesce == CoalesceOff {
 		return
 	}
 	s.stats.CoalesceAttempts++
 	if ok, _ := a.table.CanCoalesce(regionVA); !ok {
 		return
 	}
-	if s.coalp.MigrateOnPromote() {
+	if s.opt.Coalesce == CoalesceMigrate {
 		s.migrateCoalesceCost(now)
 	}
 	if err := a.table.Coalesce(regionVA); err != nil {
@@ -493,7 +472,7 @@ func (s *System) maybeCoalesce(now uint64, a *appState, asid vmem.ASID, regionVA
 	s.coalesced[frameIdx] = true
 	s.stats.Coalesces++
 	s.trace.Record(trace.Event{Cycle: now, Kind: trace.EvCoalesce, ASID: asid, VA: regionVA, Size: vmem.LargePageSize})
-	if s.coalp.FlushOnPromote() {
+	if s.opt.FlushOnCoalesce || s.opt.Coalesce == CoalesceMigrate {
 		s.flushAll()
 	}
 }
@@ -523,7 +502,7 @@ func (s *System) stall(until uint64) {
 // ---- demand paging ----
 
 func (s *System) faultKey(va vmem.VirtAddr) uint64 {
-	if s.fill.LargeFill() {
+	if s.opt.Fault == FaultLarge {
 		return va.LargePageNumber()
 	}
 	return va.BasePageNumber()
@@ -568,7 +547,7 @@ func (s *System) EnsureResident(now uint64, asid vmem.ASID, va vmem.VirtAddr, do
 	a.pending[key] = []func(uint64){done}
 	s.stats.FarFaults++
 	size := vmem.Base
-	if s.fill.LargeFill() {
+	if s.opt.Fault == FaultLarge {
 		size = vmem.Large
 	}
 	fin := s.bus.Transfer(now, size, func(cycle uint64) {
@@ -650,7 +629,7 @@ func (s *System) FreeVirtual(now uint64, asid vmem.ASID, va vmem.VirtAddr, size 
 				}
 			}
 		}
-		if !s.fill.LargeFill() {
+		if s.opt.Fault != FaultLarge {
 			delete(a.resident, cur.BasePageNumber())
 			if s.pager != nil {
 				s.pager.release(asid, cur.BasePageNumber())
@@ -660,7 +639,7 @@ func (s *System) FreeVirtual(now uint64, asid vmem.ASID, va vmem.VirtAddr, size 
 
 	for regionVA, ri := range regions {
 		s.handleShrunkRegion(now, a, asid, regionVA, ri.frameIdx, ri.locked)
-		if s.fill.LargeFill() && a.table.MappedInRegion(regionVA) == 0 {
+		if s.opt.Fault == FaultLarge && a.table.MappedInRegion(regionVA) == 0 {
 			delete(a.resident, regionVA.LargePageNumber())
 			if s.pager != nil {
 				s.pager.release(asid, regionVA.LargePageNumber())
@@ -699,7 +678,7 @@ func (s *System) handleShrunkRegion(now uint64, a *appState, asid vmem.ASID, reg
 		}
 		return
 	}
-	if !s.coalp.CompactionEnabled() {
+	if s.opt.CAC == CACOff {
 		// No compaction support (e.g. 2MB-only manager): splinter so the
 		// freed slots become legal to reuse, releasing them to the owner.
 		s.splinterRegion(now, a, asid, regionVA, frameIdx)
@@ -745,7 +724,7 @@ func (s *System) EmergencyListLen() int { return len(s.emergency) }
 // a frame from the emergency list so its unallocated base pages become
 // usable.
 func (s *System) recoverFrames(now uint64, asid vmem.ASID) {
-	if !s.coalp.CompactionEnabled() {
+	if s.opt.CAC == CACOff {
 		return
 	}
 	if s.compactFragmented(now) {
@@ -764,18 +743,23 @@ func (s *System) recoverFrames(now uint64, asid vmem.ASID) {
 			continue
 		}
 		s.splinterRegion(now, a, e.asid, e.va, frameIdx)
-		// Free slots of the frame become allocatable by the owner.
-		var refs []alloc.PageRef
-		f := s.pool.Frame(frameIdx)
-		for slot := 0; slot < vmem.BasePagesPerLarge; slot++ {
-			if !f.Allocated(slot) {
-				refs = append(refs, alloc.PageRef{Frame: frameIdx, Slot: slot})
-			}
-		}
-		s.cocoa.ReleaseSlots(e.asid, refs)
+		s.releaseFreeSlots(e.asid, frameIdx)
 		s.stats.EmergencySplinters++
 		return
 	}
+}
+
+// releaseFreeSlots hands every unallocated slot of a just-splintered
+// frame to its owner's CoCoA free list.
+func (s *System) releaseFreeSlots(asid vmem.ASID, frameIdx int) {
+	var free []alloc.PageRef
+	f := s.pool.Frame(frameIdx)
+	for slot := 0; slot < vmem.BasePagesPerLarge; slot++ {
+		if !f.Allocated(slot) {
+			free = append(free, alloc.PageRef{Frame: frameIdx, Slot: slot})
+		}
+	}
+	s.cocoa.ReleaseSlots(asid, free)
 }
 
 // regionFrame resolves the large frame backing a mapped region.

@@ -1,12 +1,16 @@
-// Package difftest is the differential golden harness for the pluggable
-// policy pipeline: it replays the pinned RunRecord fixtures (the mixed
-// and oversubscribed workloads recorded before the policy seams existed)
-// through the registry-dispatched policies across the full
-// {policy × oversub × snapshot-fork × jobs} matrix and fails on the
-// first non-identical byte. The fixtures under
-// internal/metrics/testdata are the ground truth; this package must
-// never regenerate them — a diff here means the policy refactor (or a
-// later policy change) altered simulation behavior.
+// Package difftest is the differential golden harness for the policy
+// registry: it replays pinned RunRecord fixtures through the
+// registry-resolved managers across the {policy × oversub ×
+// snapshot-fork × jobs} matrix and fails on the first non-identical
+// byte. Two sets of fixtures are ground truth. The mixed and
+// oversubscribed workloads under internal/metrics/testdata were recorded
+// before the registry existed; this package must never regenerate them.
+// Its own testdata holds the out-of-tree FIFO-MMU cell and the §6.4
+// ablation cells (CAC-BC, Ideal CAC, the migrating coalescer,
+// flush-on-coalesce), each recorded before the code that runs it was
+// last restructured; `go test -update` rewrites only those. A diff here
+// means a refactor (or a later policy change) altered simulation
+// behavior.
 package difftest
 
 import (
@@ -20,7 +24,7 @@ import (
 	"repro/internal/workload"
 
 	// The out-of-tree FIFO policy is part of the differential matrix: it
-	// must run end-to-end through the same seams the built-ins use.
+	// must run end-to-end through the same registry the built-ins use.
 	_ "repro/internal/policies/fifoevict"
 )
 
@@ -38,11 +42,9 @@ type Fixture struct {
 	// Oversub, when positive, bounds the GPU page pool to the workload's
 	// scaled footprint divided by this ratio.
 	Oversub float64
-	// Mutate, when set, tweaks the policy's manager options (an
-	// ablation, applied through sim.Options.MutateManager).
-	Mutate func(*core.Options)
-	// FragIndex, FragOccupancy and DeallocFraction are the §6.4 stress
-	// knobs, passed through to sim.Options unchanged.
+	// Mutate (an ablation of the manager options) and the §6.4 stress
+	// knobs pass through to sim.Options unchanged.
+	Mutate                                    func(*core.Options)
 	FragIndex, FragOccupancy, DeallocFraction float64
 }
 
@@ -105,33 +107,6 @@ func MetricsFixtures() []Fixture {
 				Oversub: ratio.r,
 			})
 		}
-	}
-	return out
-}
-
-// AblationFixtures returns the matrix cells that pin the §6.4 manager
-// ablations: Mosaic and four single-knob variants of it (CAC-BC, Ideal
-// CAC, the migrating coalescer, and a TLB flush after every in-place
-// promotion) on a fully pre-fragmented pool with a late deallocation, so
-// every cell runs compaction. Their goldens live in this package's
-// testdata.
-func AblationFixtures() []Fixture {
-	var out []Fixture
-	for _, a := range []struct {
-		slug   string
-		mutate func(*core.Options)
-	}{
-		{"mosaic", nil},
-		{"cac-bc", func(o *core.Options) { o.CAC = core.CACBulkCopy }},
-		{"cac-ideal", func(o *core.Options) { o.CAC = core.CACIdeal }},
-		{"coalesce-migrate", func(o *core.Options) { o.Coalesce = core.CoalesceMigrate }},
-		{"flush-on-coalesce", func(o *core.Options) { o.FlushOnCoalesce = true }},
-	} {
-		out = append(out, Fixture{
-			Slug: "ablation-" + a.slug, Policy: core.Mosaic, Mutate: a.mutate,
-			Apps: []string{"HS", "CONS"}, MaxWarpInstructions: 128,
-			FragIndex: 1, FragOccupancy: 0.5, DeallocFraction: 0.9,
-		})
 	}
 	return out
 }

@@ -43,6 +43,32 @@ func fifoFixture() Fixture {
 	}
 }
 
+// ablationFixtures returns the difftest-owned cells that pin the §6.4
+// manager ablations: Mosaic and four single-knob variants of it (CAC-BC,
+// Ideal CAC, the migrating coalescer, and a TLB flush after every
+// in-place promotion) on a fully pre-fragmented pool with a late
+// deallocation, so every cell runs compaction.
+func ablationFixtures() []Fixture {
+	var out []Fixture
+	for _, a := range []struct {
+		slug   string
+		mutate func(*core.Options)
+	}{
+		{"mosaic", nil},
+		{"cac-bc", func(o *core.Options) { o.CAC = core.CACBulkCopy }},
+		{"cac-ideal", func(o *core.Options) { o.CAC = core.CACIdeal }},
+		{"coalesce-migrate", func(o *core.Options) { o.Coalesce = core.CoalesceMigrate }},
+		{"flush-on-coalesce", func(o *core.Options) { o.FlushOnCoalesce = true }},
+	} {
+		out = append(out, Fixture{
+			Slug: "ablation-" + a.slug, Policy: core.Mosaic, Mutate: a.mutate,
+			Apps: []string{"HS", "CONS"}, MaxWarpInstructions: 128,
+			FragIndex: 1, FragOccupancy: 0.5, DeallocFraction: 0.9,
+		})
+	}
+	return out
+}
+
 // ownedGolden reads (or, under -update, records) a difftest-owned
 // golden: the FIFO-MMU cell and the ablation cells.
 func ownedGolden(t *testing.T, fx Fixture) []byte {
@@ -74,8 +100,8 @@ func ownedGolden(t *testing.T, fx Fixture) []byte {
 // TestDifferentialMatrix replays every pinned fixture through the
 // registry-dispatched policies and demands the RunRecord bytes match the
 // pre-refactor goldens exactly. This is the headline proof that
-// extracting the policy seams changed nothing: same schedule, same
-// counters, same digest, byte for byte. Its shards=1 and shards=4
+// resolving managers through the registry changed nothing: same
+// schedule, same counters, same digest, byte for byte. Its shards=1 and shards=4
 // subtests check that a request carrying the deprecated Shards field
 // (the values older clients sent) still maps to that golden.
 func TestDifferentialMatrix(t *testing.T) {
@@ -161,7 +187,7 @@ func TestDifferentialMatrixJobs(t *testing.T) {
 	for _, fx := range fixtures {
 		wants = append(wants, metricsGolden(t, fx.Slug))
 	}
-	for _, fx := range append(AblationFixtures(), fifoFixture()) {
+	for _, fx := range append(ablationFixtures(), fifoFixture()) {
 		fixtures = append(fixtures, fx)
 		wants = append(wants, ownedGolden(t, fx))
 	}
@@ -205,7 +231,7 @@ func TestSnapshotForkDifferential(t *testing.T) {
 		{Slug: "mix4-gpummu2m", Policy: core.GPUMMU2M, Apps: []string{"HS", "CONS", "BFS2", "RED"}, MaxWarpInstructions: 128},
 		{Slug: "oversub-2x-mosaic", Policy: core.Mosaic, Apps: []string{"SWP-S", "SWP-D"}, MaxWarpInstructions: 1024, Oversub: 2},
 		fifoFixture(),
-		AblationFixtures()[1],
+		ablationFixtures()[1],
 	}
 	for _, fx := range cells {
 		fx := fx
@@ -246,7 +272,7 @@ func TestAblationGoldens(t *testing.T) {
 		Manager core.Stats
 	}
 	stats := make(map[string]managerStats)
-	for _, fx := range AblationFixtures() {
+	for _, fx := range ablationFixtures() {
 		want := ownedGolden(t, fx)
 		cfg, wl, err := fx.Build()
 		if err != nil {

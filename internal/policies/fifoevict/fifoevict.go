@@ -24,9 +24,7 @@ var PolicyID = core.MustRegisterPolicy(core.PolicySpec{
 		// Mosaic's full option set; only the residency seam differs.
 		return core.OptionsFor(core.Mosaic, cfg)
 	},
-	Components: func(core.Options, config.Config) core.Components {
-		return core.Components{Residency: NewResidency}
-	},
+	Residency: NewResidency,
 })
 
 // fifoResidency orders victims by first fault: Insert pushes at the

@@ -117,7 +117,7 @@ func TestChaosCancelQueuedJob(t *testing.T) {
 	if code != http.StatusOK || canceled.State != JobCanceled {
 		t.Fatalf("cancel queued job: HTTP %d %+v %s", code, canceled, body)
 	}
-	if code, _ := getJSON(t, ts.URL + "/v1/runs/" + stB.ID + "/result"); code != http.StatusGone {
+	if code, _ := getJSON(t, ts.URL+"/v1/runs/"+stB.ID+"/result"); code != http.StatusGone {
 		t.Fatalf("canceled job result: HTTP %d, want 410", code)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -386,6 +387,14 @@ func TestRequestValidation(t *testing.T) {
 		{"negative shards", `{"Apps":["SCP"],"Shards":-1}`},
 		{"negative scale", `{"Apps":["SCP"],"Scale":-5}`},
 		{"too many apps", `{"Apps":[` + strings.Repeat(`"SCP",`, 99) + `"SCP"]}`},
+		// Sizes the simulator would allocate up front: each is past its
+		// config ceiling and must fail before any worker builds it.
+		{"warps past ceiling", `{"Apps":["HS"],"Dim":"warps","DimValue":1073741824}`},
+		{"L1 TLB past ceiling", `{"Apps":["HS"],"Dim":"l1base","DimValue":1073741824}`},
+		{"L1 large TLB past ceiling", `{"Apps":["HS"],"Dim":"l1large","DimValue":1073741824}`},
+		{"L2 TLB past ceiling", `{"Apps":["HS"],"Dim":"l2base","DimValue":1073741824}`},
+		{"L2 large TLB past ceiling", `{"Apps":["HS"],"Dim":"l2large","DimValue":1073741824}`},
+		{"page-walk cache past ceiling", `{"Apps":["HS"],"Dim":"pwc","DimValue":1073741824}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
@@ -400,6 +409,17 @@ func TestRequestValidation(t *testing.T) {
 		if !strings.Contains(string(raw), "Error") {
 			t.Errorf("%s: body %q lacks an Error field", tc.name, raw)
 		}
+	}
+
+	// A vanishing oversubscription ratio saturates the residency budget
+	// instead of converting an out-of-range float, so its digest is the
+	// same on every platform.
+	plan, err := Resolve(nil, RunRequest{Apps: []string{"HS"}, Oversub: 1e-300})
+	if err != nil {
+		t.Fatalf("tiny oversub rejected: %v", err)
+	}
+	if got := plan.Cell.Config.MaxResidentPages; got != math.MaxUint64 {
+		t.Errorf("Oversub 1e-300 budget = %d, want saturation at %d", got, uint64(math.MaxUint64))
 	}
 
 	if code, body := getJSON(t, ts.URL+"/v1/runs/r999999"); code != http.StatusNotFound {

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/config"
@@ -175,7 +176,9 @@ func ByName(name string) (Spec, error) {
 
 // ResidentBudget converts an oversubscription ratio into a residency bound
 // for wl: the workload's total scaled footprint in base pages divided by
-// ratio, floored at one 2MB frame (the minimum the config accepts). A
+// ratio, floored at one 2MB frame (the minimum the config accepts) and
+// saturated at math.MaxUint64 for ratios so small the quotient leaves
+// uint64's range (Go leaves that conversion implementation-defined). A
 // ratio of 2 means the combined working sets are twice GPU memory. Ratios
 // <= 0 mean "unbounded" and return 0, the config's disabled value.
 func ResidentBudget(cfg config.Config, wl Workload, ratio float64) uint64 {
@@ -186,11 +189,11 @@ func ResidentBudget(cfg config.Config, wl Workload, ratio float64) uint64 {
 	for _, s := range wl.Apps {
 		pages += s.ScaledWorkingSet(cfg) / vmem.BasePageSize
 	}
-	budget := uint64(float64(pages) / ratio)
-	if budget < vmem.BasePagesPerLarge {
-		budget = vmem.BasePagesPerLarge
+	quot := float64(pages) / ratio
+	if quot >= math.MaxUint64 {
+		return math.MaxUint64
 	}
-	return budget
+	return max(uint64(quot), vmem.BasePagesPerLarge)
 }
 
 // ScaledWorkingSet returns the working set under cfg's scaling knob,

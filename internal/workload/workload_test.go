@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -317,6 +318,10 @@ func TestResidentBudget(t *testing.T) {
 	// Extreme ratios floor at one large frame so the config validates.
 	if got := ResidentBudget(cfg, wl, 1e9); got != vmem.BasePagesPerLarge {
 		t.Errorf("ResidentBudget(1e9) = %d, want floor %d", got, vmem.BasePagesPerLarge)
+	}
+	// A vanishing ratio saturates rather than overflowing the conversion.
+	if got := ResidentBudget(cfg, wl, 1e-300); got != math.MaxUint64 {
+		t.Errorf("ResidentBudget(1e-300) = %d, want saturation at %d", got, uint64(math.MaxUint64))
 	}
 	// The budget must satisfy config validation when installed.
 	c := cfg

@@ -69,25 +69,19 @@ const (
 	IdealTLB = core.IdealTLB
 )
 
-// Policy pipeline: managers are compositions over five seam interfaces
-// (placement, coalesce, fill, migration cost, residency) resolved through
-// a name-keyed registry. Third-party policies register with
+// Policy registry: a manager is an Options set (allocator, coalescing,
+// CAC variant, fault granularity, translation bypass) plus one behavior
+// seam, the residency order a bounded page pool evicts by (LRU unless a
+// policy supplies its own), resolved through a name-keyed registry.
+// Third-party policies register with
 // RegisterPolicy and then work everywhere a built-in does — mosaic-sim
 // -policy, RunRequest.Policy, sweeps, campaigns — with their display name
 // feeding the ConfigDigest exactly like the built-in names do.
 type (
 	// PolicySpec describes one registered policy: display name (feeds
 	// RunRecord.Policy and the ConfigDigest), wire name (flags/API),
-	// option derivation, and optional seam-component overrides.
+	// option derivation, and an optional residency order.
 	PolicySpec = core.PolicySpec
-	// PlacementPolicy decides whole-frame vs base-page backing.
-	PlacementPolicy = core.PlacementPolicy
-	// CoalescePolicy decides large-page promotion and compaction.
-	CoalescePolicy = core.CoalescePolicy
-	// FillPolicy decides translation bypass and paging granularity.
-	FillPolicy = core.FillPolicy
-	// CostModel prices page migrations (CAC and ablations).
-	CostModel = core.CostModel
 	// ResidencyPolicy orders resident pages for victim selection under
 	// a bounded GPU page pool.
 	ResidencyPolicy = core.ResidencyPolicy
