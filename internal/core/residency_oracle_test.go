@@ -154,64 +154,94 @@ func (v victimLog) Victim() *core.PageEntry {
 // pagerVictims collects the victim keys of the current pager program.
 var pagerVictims []uint64
 
-// oraclePolicies registers GPU-MMU's options (4KB faults, no coalescing,
-// so every eviction moves exactly one page) once per residency order,
-// with the order wrapped in a victimLog.
-var oraclePolicies = func() []core.Policy {
-	var ids []core.Policy
-	for _, ord := range residencyOrders {
-		ord := ord
-		ids = append(ids, core.MustRegisterPolicy(core.PolicySpec{
-			Name: "oracle-" + ord.name, Wire: "oracle-" + ord.name,
-			Options: func(cfg config.Config) core.Options { return core.OptionsFor(core.GPUMMU4K, cfg) },
-			Residency: func() core.ResidencyPolicy {
-				return victimLog{ResidencyPolicy: ord.make(), keys: &pagerVictims}
-			},
-		}))
+// oracleManagers are the managers the pager programs run under: GPU-MMU
+// (4KB faults, no coalescing, so every eviction moves exactly one page)
+// and Mosaic (4KB faults, but a victim inside a coalesced region takes
+// its whole 2MB frame).
+var oracleManagers = []core.Policy{core.GPUMMU4K, core.Mosaic}
+
+// oraclePolicies[m][o] registers oracleManagers[m]'s options with
+// residencyOrders[o], the order wrapped in a victimLog.
+var oraclePolicies = func() [][]core.Policy {
+	var ids [][]core.Policy
+	for _, m := range oracleManagers {
+		var row []core.Policy
+		for _, ord := range residencyOrders {
+			m, ord := m, ord
+			name := "oracle-" + m.String() + "-" + ord.name
+			row = append(row, core.MustRegisterPolicy(core.PolicySpec{
+				Name: name, Wire: name,
+				Options: func(cfg config.Config) core.Options { return core.OptionsFor(m, cfg) },
+				Residency: func() core.ResidencyPolicy {
+					return victimLog{ResidencyPolicy: ord.make(), keys: &pagerVictims}
+				},
+			}))
+		}
+		ids = append(ids, row)
 	}
 	return ids
 }()
 
 // TestPagerVictimsMatchSliceReference drives random fault and free
-// programs through a bounded System and through the slice reference
-// under the same budget, and demands identical victim sequences. Each
-// fault lands before the next operation, so the pager's resident set is
-// exactly the reference's list.
+// programs through a bounded GPU-MMU System and through the slice
+// reference under the same budget, and demands identical victims and
+// resident sets after every operation. Each fault lands before the next
+// operation, so the pager's resident set is exactly the reference's list.
 func TestPagerVictimsMatchSliceReference(t *testing.T) {
-	const budget = vmem.BasePagesPerLarge // the smallest legal bound
-	const pages = 3 * budget
-	sequences := make([][]uint64, len(residencyOrders))
-	for i, ord := range residencyOrders {
-		t.Run(ord.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				got, want := runPagerProgram(t, seed, oraclePolicies[i], budget, pages, ord.fifo)
-				if len(want) == 0 {
-					t.Fatalf("seed %d: program evicted nothing", seed)
-				}
-				if !slices.Equal(got, want) {
-					n := 0
-					for n < min(len(got), len(want)) && got[n] == want[n] {
-						n++
-					}
-					t.Fatalf("seed %d: pager victims diverge from the reference at eviction %d of %d (pager %d, reference %d)",
-						seed, n, len(want), len(got), len(want))
-				}
-				if seed == 1 {
-					sequences[i] = got
-				}
-			}
-		})
-	}
+	sequences := checkPagerPrograms(t, 0)
 	if slices.Equal(sequences[0], sequences[1]) {
 		t.Error("LRU and FIFO evicted the same pages: the programs never exercise recency")
 	}
 }
 
+// TestPagerGroupEvictionMatchesSliceReference runs the same programs
+// under Mosaic. The working set is whole 2MB regions, which coalesce, and
+// the reference applies the group rule: when Translate reports a large
+// mapping for the victim, its resident siblings leave with it.
+func TestPagerGroupEvictionMatchesSliceReference(t *testing.T) {
+	checkPagerPrograms(t, 1)
+}
+
+// checkPagerPrograms runs three seeds of the pager program for each
+// residency order under oracleManagers[m], and returns each order's
+// victims for seed 1. Whole-frame group evictions must occur exactly
+// when the manager coalesces.
+func checkPagerPrograms(t *testing.T, m int) [][]uint64 {
+	const budget = vmem.BasePagesPerLarge // the smallest legal bound
+	const pages = 3 * budget
+	sequences := make([][]uint64, len(residencyOrders))
+	for o, ord := range residencyOrders {
+		t.Run(ord.name, func(t *testing.T) {
+			groups := 0
+			for seed := int64(1); seed <= 3; seed++ {
+				victims, g := runPagerProgram(t, seed, oraclePolicies[m][o], budget, pages, ord.fifo)
+				if len(victims) == 0 {
+					t.Fatalf("seed %d: program evicted nothing", seed)
+				}
+				groups += g
+				if seed == 1 {
+					sequences[o] = victims
+				}
+			}
+			if coalescing := oracleManagers[m] == core.Mosaic; (groups > 0) != coalescing {
+				t.Errorf("%d whole-frame group evictions under %v", groups, oracleManagers[m])
+			}
+		})
+	}
+	return sequences
+}
+
 // runPagerProgram runs one random program on a one-app System bounded
-// to budget pages and returns the pager's victim keys and the
-// reference's. Touches favor a small hot set so recency matters; frees
-// and re-allocations of single pages exercise Remove.
-func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages uint64, fifo bool) (got, want []uint64) {
+// to budget pages, checking it against the reference after every
+// operation, and returns the victim keys and how many evictions took
+// more than one page. Touches favor a small hot set so recency matters;
+// frees and re-allocations of single pages exercise Remove.
+//
+// The resident set is checked by induction: each operation can only add
+// the touched page and remove what the reference evicted or freed, so
+// equal resident counts, the touched page resident and every removed
+// page gone mean equal sets. A full comparison every 256 steps backs it.
+func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages uint64, fifo bool) (victims []uint64, groups int) {
 	t.Helper()
 	cfg := config.Default()
 	cfg.TotalDRAMBytes = 256 << 20
@@ -235,24 +265,33 @@ func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages
 	pagerVictims = pagerVictims[:0]
 	rng := rand.New(rand.NewSource(seed))
 	ref := &refResidency[uint64]{fifo: fifo}
+	resident := make([]bool, pages)
 	live := make([]bool, pages)
 	for i := range live {
 		live[i] = true
 	}
+	vaOf := func(pn uint64) vmem.VirtAddr { return vmem.VirtAddr(pn * vmem.BasePageSize) }
+	var gone []uint64 // pages the reference removed this step
+	evict := func(pn uint64) {
+		ref.remove(pn)
+		resident[pn] = false
+		gone = append(gone, pn)
+	}
 	now := uint64(1)
 	hot := budget / 2
 	for step := 0; step < 12000; step++ {
+		gone = gone[:0]
 		pn := uint64(rng.Int63n(int64(pages)))
 		if rng.Intn(3) > 0 {
 			pn = uint64(rng.Int63n(int64(hot)))
 		}
-		va := vmem.VirtAddr(pn * vmem.BasePageSize)
+		va := vaOf(pn)
 		switch op := rng.Intn(50); {
 		case op == 0 && live[pn]:
 			if err := sys.FreeVirtual(now, asid, va, vmem.BasePageSize); err != nil {
 				t.Fatal(err)
 			}
-			ref.remove(pn)
+			evict(pn)
 			live[pn] = false
 		case !live[pn]:
 			if err := sys.AllocVirtual(now, asid, va, vmem.BasePageSize); err != nil {
@@ -261,16 +300,29 @@ func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages
 			live[pn] = true
 		default:
 			sys.EnsureResident(now, asid, va, nil)
-			if slices.Contains(ref.order, pn) {
+			if resident[pn] {
 				ref.touch(pn)
-			} else {
-				for uint64(len(ref.order)) >= budget {
-					v, _ := ref.victim()
-					want = append(want, v)
-					ref.remove(v)
-				}
-				ref.insert(pn)
+				break
 			}
+			for uint64(len(ref.order)) >= budget {
+				v, _ := ref.victim()
+				victims = append(victims, v)
+				before := len(gone)
+				evict(v)
+				if tr, ok := sys.Translate(asid, vaOf(v)); ok && tr.Size == vmem.Large {
+					first := vaOf(v).LargePageBase().BasePageNumber()
+					for sib := first; sib < first+vmem.BasePagesPerLarge; sib++ {
+						if resident[sib] {
+							evict(sib)
+						}
+					}
+				}
+				if len(gone)-before > 1 {
+					groups++
+				}
+			}
+			ref.insert(pn)
+			resident[pn] = true
 		}
 		for {
 			c, ok := q.NextCycle()
@@ -281,6 +333,29 @@ func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages
 			now = max(now, c)
 		}
 		now++
+
+		if !slices.Equal(pagerVictims, victims) {
+			t.Fatalf("seed %d step %d: pager victims diverge from the reference (pager %d, reference %d)",
+				seed, step, len(pagerVictims), len(victims))
+		}
+		if got := sys.ResidentPages(); got != uint64(len(ref.order)) {
+			t.Fatalf("seed %d step %d: %d pages resident, reference %d", seed, step, got, len(ref.order))
+		}
+		if got := sys.IsResident(asid, va); got != resident[pn] {
+			t.Fatalf("seed %d step %d: touched page %d resident %v, reference %v", seed, step, pn, got, resident[pn])
+		}
+		for _, g := range gone {
+			if sys.IsResident(asid, vaOf(g)) {
+				t.Fatalf("seed %d step %d: page %d still resident after the reference removed it", seed, step, g)
+			}
+		}
+		if step%256 == 0 {
+			for p := uint64(0); p < pages; p++ {
+				if got := sys.IsResident(asid, vaOf(p)); got != resident[p] {
+					t.Fatalf("seed %d step %d: page %d resident %v, reference %v", seed, step, p, got, resident[p])
+				}
+			}
+		}
 	}
-	return slices.Clone(pagerVictims), want
+	return victims, groups
 }
