@@ -28,6 +28,7 @@ const (
 	MaxPageWalkCacheEntries = 1 << 16
 	MaxL1CacheLines         = 1 << 14 // per SM
 	MaxL2CacheLines         = 1 << 20
+	MaxCacheLineBytes       = 1 << 12 // also keeps the page-walk cache's bytes (a line per entry) in range
 	MaxMemoryPartitions     = 64
 	MaxDRAMBanksPerChannel  = 256
 	MaxTotalDRAMBytes       = 1 << 40
@@ -304,14 +305,12 @@ func (c Config) Validate() error {
 		return errors.New("config: only 4-level page tables are supported")
 	case c.PageWalkCacheEntries < 0 || (c.PageWalkCacheEntries > 0 && c.PageWalkCacheLatency <= 0):
 		return errors.New("config: page-walk cache needs a positive latency")
-	case c.L1CacheBytes <= 0 || c.L1CacheLineSz <= 0 || c.L1CacheWays <= 0:
-		return errors.New("config: L1 cache geometry must be positive")
-	case c.L1CacheBytes%(c.L1CacheLineSz*c.L1CacheWays) != 0:
-		return errors.New("config: L1 cache bytes must divide into ways*lines")
-	case c.L2CacheBytes <= 0 || c.L2CacheLineSz <= 0 || c.L2CacheWays <= 0:
-		return errors.New("config: L2 cache geometry must be positive")
-	case c.L2CacheBytes%(c.L2CacheLineSz*c.L2CacheWays) != 0:
-		return errors.New("config: L2 cache bytes must divide into ways*lines")
+	case c.PageWalkCacheEntries > 0 && !isPow2(c.PageWalkCacheEntries/c.PageWalkCacheWays()):
+		return errors.New("config: page-walk cache entries must make a power-of-two number of sets")
+	case !cacheBuilds(c.L1CacheBytes, c.L1CacheLineSz, c.L1CacheWays):
+		return errors.New("config: L1 cache needs positive sizes, bytes dividing into ways*lines, and power-of-two line size and set count")
+	case !cacheBuilds(c.L2CacheBytes, c.L2CacheLineSz, c.L2CacheWays):
+		return errors.New("config: L2 cache needs positive sizes, bytes dividing into ways*lines, and power-of-two line size and set count")
 	case c.L2CachePorts <= 0:
 		return errors.New("config: L2CachePorts must be positive")
 	case c.MemoryPartitons <= 0:
@@ -348,6 +347,25 @@ func (c Config) Validate() error {
 	return c.validateCeilings()
 }
 
+// cacheBuilds reports whether the cache model can build a geometry: the
+// bytes divide into ways of whole lines, and the line size and the set
+// count are powers of two.
+func cacheBuilds(bytes, line, ways int) bool {
+	return bytes > 0 && isPow2(line) && ways > 0 && bytes%line == 0 &&
+		bytes/line%ways == 0 && isPow2(bytes/line/ways)
+}
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// PageWalkCacheWays is the page-walk cache's associativity (one L2-sized
+// line per entry): four ways when the entries divide into them, else one.
+func (c Config) PageWalkCacheWays() int {
+	if c.PageWalkCacheEntries < 4 || c.PageWalkCacheEntries%4 != 0 {
+		return 1
+	}
+	return 4
+}
+
 // validateCeilings rejects sizes above the ceilings. Validate calls it
 // after the geometry checks, so every divisor here is positive.
 func (c Config) validateCeilings() error {
@@ -364,6 +382,8 @@ func (c Config) validateCeilings() error {
 		{"PageWalkCacheEntries", uint64(c.PageWalkCacheEntries), MaxPageWalkCacheEntries},
 		{"L1 cache lines", uint64(c.L1CacheBytes / c.L1CacheLineSz), MaxL1CacheLines},
 		{"L2 cache lines", uint64(c.L2CacheBytes / c.L2CacheLineSz), MaxL2CacheLines},
+		{"L1CacheLineSz", uint64(c.L1CacheLineSz), MaxCacheLineBytes},
+		{"L2CacheLineSz", uint64(c.L2CacheLineSz), MaxCacheLineBytes},
 		{"MemoryPartitons", uint64(c.MemoryPartitons), MaxMemoryPartitions},
 		{"DRAMBanksPerChannel", uint64(c.DRAMBanksPerChannel), MaxDRAMBanksPerChannel},
 		{"TotalDRAMBytes", c.TotalDRAMBytes, MaxTotalDRAMBytes},

@@ -129,6 +129,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"bad L2 cache", func(c *Config) { c.L2CacheBytes = 100 }},
 		{"zero L2 cache line", func(c *Config) { c.L2CacheLineSz = 0 }},
 		{"zero L2 cache ways", func(c *Config) { c.L2CacheWays = 0 }},
+		{"L1 cache sets not a power of two", func(c *Config) { c.L1CacheBytes = 3 * c.L1CacheLineSz * c.L1CacheWays }},
+		{"L2 cache sets not a power of two", func(c *Config) { c.L2CacheBytes = 3 * c.L2CacheLineSz * c.L2CacheWays }},
+		{"L1 cache line not a power of two", func(c *Config) {
+			c.L1CacheLineSz = 96
+			c.L1CacheBytes = 96 * c.L1CacheWays * 64
+		}},
+		{"L2 cache line not a power of two", func(c *Config) {
+			c.L2CacheLineSz = 96
+			c.L2CacheBytes = 96 * c.L2CacheWays * 64
+		}},
+		{"page-walk cache sets not a power of two", func(c *Config) { c.PageWalkCacheEntries = 12 }},
+		{"direct-mapped page-walk cache sets not a power of two", func(c *Config) { c.PageWalkCacheEntries = 6 }},
 		{"SMs above ceiling", func(c *Config) { c.NumSMs = MaxSMs + 1 }},
 		{"warps above ceiling", func(c *Config) { c.WarpsPerSM = 1 << 30 }},
 		{"L1 TLB above ceiling", func(c *Config) { c.L1TLBBaseEntries = MaxL1TLBEntries + 1 }},
@@ -138,6 +150,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"page-walk cache above ceiling", func(c *Config) { c.PageWalkCacheEntries = MaxPageWalkCacheEntries + 1 }},
 		{"L1 cache above ceiling", func(c *Config) { c.L1CacheBytes = 2 * MaxL1CacheLines * c.L1CacheLineSz }},
 		{"L2 cache above ceiling", func(c *Config) { c.L2CacheBytes = 2 * MaxL2CacheLines * c.L2CacheLineSz }},
+		{"L2 cache line above ceiling", func(c *Config) {
+			c.L2CacheLineSz = 2 * MaxCacheLineBytes
+			c.L2CacheBytes = c.L2CacheLineSz * c.L2CacheWays
+		}},
 		{"partitions above ceiling", func(c *Config) { c.MemoryPartitons = MaxMemoryPartitions + 1 }},
 		{"banks above ceiling", func(c *Config) { c.DRAMBanksPerChannel = MaxDRAMBanksPerChannel + 1 }},
 		{"DRAM above ceiling", func(c *Config) { c.TotalDRAMBytes = 2 * MaxTotalDRAMBytes }},
@@ -185,8 +201,20 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	c.PageWalkCacheEntries = MaxPageWalkCacheEntries
 	c.MemoryPartitons, c.DRAMBanksPerChannel = MaxMemoryPartitions, MaxDRAMBanksPerChannel
 	c.TotalDRAMBytes = MaxTotalDRAMBytes
+	c.L1CacheLineSz, c.L2CacheLineSz = MaxCacheLineBytes, MaxCacheLineBytes
+	c.L1CacheBytes = c.L1CacheLineSz * c.L1CacheWays
+	c.L2CacheBytes = c.L2CacheLineSz * c.L2CacheWays
 	if err := c.Validate(); err != nil {
 		t.Errorf("config at the ceilings rejected: %v", err)
+	}
+
+	// Every page-walk cache size in use builds.
+	for _, n := range []int{0, 2, 32, 64, 128, MaxPageWalkCacheEntries} {
+		c = Default()
+		c.PageWalkCacheEntries = n
+		if err := c.Validate(); err != nil {
+			t.Errorf("page-walk cache of %d entries rejected: %v", n, err)
+		}
 	}
 
 	// A sane residency bound passes.

@@ -78,6 +78,28 @@ func TestPagerResidentHitAllocFree(t *testing.T) {
 	}
 }
 
+// TestUnboundedResidentHitAllocFree guards the resident hit of a run
+// without a residency bound, the path every access of the paper's
+// in-memory figures takes: the ASID-indexed app slice and the app's dense
+// residency table, with no allocation.
+func TestUnboundedResidentHitAllocFree(t *testing.T) {
+	r := newRig(t, Mosaic, nil)
+	s := r.sys
+	if err := s.RegisterApp(1); err != nil {
+		t.Fatal(err)
+	}
+	va := vmem.VirtAddr(1<<30 + 5*vmem.BasePageSize)
+	s.EnsureResident(1, 1, va, nil)
+	r.drain()
+	if avg := testing.AllocsPerRun(200, func() {
+		if !s.EnsureResident(1<<20, 1, va, nil) {
+			t.Fatal("landed page not resident")
+		}
+	}); avg != 0 {
+		t.Fatalf("unbounded resident hit allocates %.1f objects/op, want 0", avg)
+	}
+}
+
 // TestLRUResidencyCloneOrder pins the Clone contract third-party
 // policies must honor: the clone preserves the source's exact victim
 // order over remapped entries (the snapshot-fork byte-identity

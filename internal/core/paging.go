@@ -2,23 +2,25 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
 
-// This file implements the bounded-residency demand-paging tier: when
+// This file implements demand paging: data starts in a host/CXL remote
+// tier and far-faults across the I/O bus on first touch. When
 // Config.MaxResidentPages caps how many 4KB base pages may live in GPU
 // memory at once, faults beyond the budget evict least-recently-used
-// victims to a host/CXL remote tier across the I/O bus. Victim
-// granularity follows the manager's fault granularity — 4KB pages for the
-// GPU-MMU baseline and Mosaic, whole 2MB frames for the 2MB-only manager
-// (and for Mosaic when the victim belongs to a coalesced region, the
-// thrash-amplification case the paper gestures at in §3.2). Dirty pages
-// write back over the bus before their frame can be reused; the bus is
-// FIFO, so a page-in issued after a write-back queues behind it and the
-// outbound data is on the host before the inbound data lands. Evicted
-// pages re-fault at bus latency.
+// victims back to the remote tier. Victim granularity follows the
+// manager's fault granularity — 4KB pages for the GPU-MMU baseline and
+// Mosaic, whole 2MB frames for the 2MB-only manager (and for Mosaic when
+// the victim belongs to a coalesced region, the thrash-amplification
+// case the paper gestures at in §3.2). Dirty pages write back over the
+// bus before their frame can be reused; the bus is FIFO, so a page-in
+// issued after a write-back queues behind it and the outbound data is on
+// the host before the inbound data lands. Evicted pages re-fault at bus
+// latency.
 //
 // Residency is admission-controlled: a fault that cannot fit — even after
 // evicting every resident victim — joins a FIFO fault queue and is
@@ -49,12 +51,10 @@ const (
 // list links so policies built on ResidencyQueue never allocate per
 // operation.
 type PageEntry struct {
+	// The narrow fields come first, so they share one word.
 	asid  vmem.ASID
-	key   uint64 // faultKey: base or large page number
-	va    vmem.VirtAddr
 	state pageState
 	dirty bool
-	pages uint64 // base pages covered: 1, or 512 under FaultLarge
 	// evicted marks entries that left GPU memory at least once, so their
 	// next fault counts as a refault.
 	evicted bool
@@ -62,6 +62,9 @@ type PageEntry struct {
 	// transfer was still in flight; the completion must not resurrect
 	// them (their budget was already released).
 	freed   bool
+	key     uint64 // faultKey: base or large page number
+	va      vmem.VirtAddr
+	pages   uint64 // base pages covered: 1, or 512 under FaultLarge
 	waiters []func(uint64)
 	// landFn is the bus completion of this unit's page-in (pager.land),
 	// bound once when the entry is made so a refault allocates nothing.
@@ -89,19 +92,15 @@ func (e *PageEntry) Pages() uint64 { return e.pages }
 // resident (and so owes a write-back on eviction).
 func (e *PageEntry) Dirty() bool { return e.dirty }
 
-type pagerKey struct {
-	asid vmem.ASID
-	key  uint64
-}
-
-// pager tracks residency against the budget. It is created only when the
-// configuration bounds residency; a nil pager leaves the pre-existing
-// unbounded fault path untouched.
+// pager moves every paged unit between the remote tier and GPU memory.
+// The System builds one whenever demand paging is on; its entries live in
+// the owning appState's residency table.
 type pager struct {
-	s       *System
-	budget  uint64 // MaxResidentPages, in base pages
-	used    uint64 // base pages resident or committed to pending faults
-	entries map[pagerKey]*PageEntry
+	s *System
+	// budget is MaxResidentPages in base pages when residency is bounded;
+	// math.MaxUint64 otherwise, so no fault waits and nothing is evicted.
+	budget uint64
+	used   uint64 // base pages resident or committed to pending faults
 	// queued is the FIFO admission queue of faults waiting for capacity.
 	queued []*PageEntry
 	// res orders resident entries for victim selection (the policy's
@@ -134,46 +133,56 @@ func (p *pager) newEntry(asid vmem.ASID, key, pages uint64) *PageEntry {
 	return e
 }
 
+// newPager builds s's pager. The ideal TLB stands in for a system free of
+// memory-management limits, so it is exempt from the residency bound.
 func newPager(s *System) *pager {
-	return &pager{
-		s:       s,
-		budget:  s.cfg.MaxResidentPages,
-		entries: make(map[pagerKey]*PageEntry),
-		res:     residencyFor(s.opt.Policy)(),
+	p := &pager{s: s, budget: math.MaxUint64, res: residencyFor(s.opt.Policy)()}
+	if s.cfg.MaxResidentPages > 0 && !s.opt.Bypass {
+		p.budget = s.cfg.MaxResidentPages
 	}
+	return p
 }
 
-// clone deep-copies the pager for a forked manager ns. It requires the
+// bounded reports whether the pager enforces a residency budget.
+func (p *pager) bounded() bool { return p.budget != math.MaxUint64 }
+
+// clone deep-copies the pager, with the residency tables of its entries,
+// for a forked manager ns whose apps are already cloned. It requires the
 // pager to be quiescent — an empty admission queue and no entries in the
 // queued/pending-in/pending-out states, since transfers in flight hold
 // waiter closures bound to the source simulator — and panics otherwise.
-// Entries are duplicated and the residency policy is cloned over the
-// copies in the exact victim order of the source, so the fork's next
-// eviction picks the same victim the source would have.
+// Entries are duplicated into ns's tables and the residency policy is
+// cloned over the copies in the exact victim order of the source, so the
+// fork's next eviction picks the same victim the source would have.
 func (p *pager) clone(ns *System) *pager {
 	if len(p.queued) != 0 {
 		panic(fmt.Sprintf("core: pager clone with %d queued faults", len(p.queued)))
 	}
-	np := &pager{
-		s:       ns,
-		budget:  p.budget,
-		used:    p.used,
-		entries: make(map[pagerKey]*PageEntry, len(p.entries)),
-	}
-	for k, e := range p.entries {
-		switch e.state {
-		case pageQueued, pagePendingIn, pagePendingOut:
-			panic(fmt.Sprintf("core: pager clone with entry in transient state %d", e.state))
+	np := &pager{s: ns, budget: p.budget, used: p.used}
+	for asid, a := range p.s.apps {
+		if a == nil {
+			continue
 		}
-		if len(e.waiters) != 0 {
-			panic("core: pager clone with waiters outstanding")
+		na := ns.apps[asid]
+		na.units, na.unitBase = make([]*PageEntry, len(a.units)), a.unitBase
+		for i, e := range a.units {
+			if e == nil {
+				continue
+			}
+			switch e.state {
+			case pageQueued, pagePendingIn, pagePendingOut:
+				panic(fmt.Sprintf("core: pager clone with entry in transient state %d", e.state))
+			}
+			if len(e.waiters) != 0 {
+				panic("core: pager clone with waiters outstanding")
+			}
+			ne := np.newEntry(e.asid, e.key, e.pages)
+			ne.va, ne.state, ne.dirty, ne.evicted, ne.freed = e.va, e.state, e.dirty, e.evicted, e.freed
+			na.units[i] = ne
 		}
-		ne := np.newEntry(e.asid, e.key, e.pages)
-		ne.va, ne.state, ne.dirty, ne.evicted, ne.freed = e.va, e.state, e.dirty, e.evicted, e.freed
-		np.entries[k] = ne
 	}
 	np.res = p.res.Clone(func(e *PageEntry) *PageEntry {
-		return np.entries[pagerKey{e.asid, e.key}]
+		return ns.apps[e.asid].unit(e.key)
 	})
 	return np
 }
@@ -187,17 +196,19 @@ func pageDirty(asid vmem.ASID, key uint64) bool {
 	return h&1 == 1
 }
 
-// ensureResident is the bounded-residency fault path, mirroring
-// System.EnsureResident's contract: true means already resident (done is
-// not called), false means done fires when the page lands.
+// ensureResident is the fault path behind System.EnsureResident, with its
+// contract: true means already resident (done is not called), false means
+// done fires when the page lands.
 func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.VirtAddr, done func(cycle uint64)) bool {
 	s := p.s
 	key := s.faultKey(va)
-	e := p.entries[pagerKey{asid, key}]
+	e := a.unit(key)
 	if e != nil {
 		switch e.state {
 		case pageResident:
-			p.res.Touch(e)
+			if p.bounded() {
+				p.res.Touch(e)
+			}
 			return true
 		case pageQueued, pagePendingIn:
 			e.waiters = append(e.waiters, done)
@@ -213,7 +224,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 			pages = vmem.BasePagesPerLarge
 		}
 		e = p.newEntry(asid, key, pages)
-		p.entries[pagerKey{asid, key}] = e
+		a.setUnit(key, e)
 	}
 	e.va = va.BasePageBase()
 	if e.evicted {
@@ -249,7 +260,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 func (p *pager) issue(now uint64, e *PageEntry) {
 	s := p.s
 	p.used += e.pages
-	if p.used > s.stats.PeakResidentPages {
+	if p.bounded() && p.used > s.stats.PeakResidentPages {
 		s.stats.PeakResidentPages = p.used
 	}
 	e.state = pagePendingIn
@@ -268,16 +279,14 @@ func (p *pager) issue(now uint64, e *PageEntry) {
 // was freed meanwhile), the admission queue gets another chance, and the
 // faults waiting on e fire in arrival order.
 func (p *pager) land(e *PageEntry, cycle uint64) {
-	s := p.s
 	waiters := e.waiters
 	e.waiters = nil
 	if !e.freed {
 		e.state = pageResident
 		e.dirty = pageDirty(e.asid, e.key)
-		if a, err := s.app(e.asid); err == nil {
-			a.resident[e.key] = true
+		if p.bounded() { // only a bounded pager ever asks for a victim
+			p.res.Insert(e)
 		}
-		p.res.Insert(e)
 	}
 	// The landed page is evictable, so capacity may now exist for
 	// faults the admission queue was holding back.
@@ -346,11 +355,12 @@ func (p *pager) ensureCapacity(now uint64, pages uint64) {
 // moves, and it faults back page by page.
 func (p *pager) evict(now uint64, victim *PageEntry) {
 	s := p.s
+	a := s.apps[victim.asid]
 	group := append(p.group[:0], victim)
 	size := vmem.Base
 	if s.opt.Fault == FaultLarge {
 		size = vmem.Large
-	} else if a, err := s.app(victim.asid); err == nil && a.table.IsCoalesced(victim.va) {
+	} else if a.table.IsCoalesced(victim.va) {
 		// Gather every resident sibling of the victim's 2MB region.
 		basePN := victim.va.LargePageBase().BasePageNumber()
 		for i := uint64(0); i < vmem.BasePagesPerLarge; i++ {
@@ -358,7 +368,7 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 			if k == victim.key {
 				continue
 			}
-			if sib := p.entries[pagerKey{victim.asid, k}]; sib != nil && sib.state == pageResident {
+			if sib := a.unit(k); sib != nil && sib.state == pageResident {
 				group = append(group, sib)
 			}
 		}
@@ -371,10 +381,6 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 	p.group = group
 
 	dirty := false
-	var a *appState
-	if app, err := s.app(victim.asid); err == nil {
-		a = app
-	}
 	for _, e := range group {
 		if e.dirty {
 			dirty = true
@@ -384,9 +390,6 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 		s.stats.EvictedPages += e.pages
 		e.evicted = true
 		e.dirty = false
-		if a != nil {
-			delete(a.resident, e.key)
-		}
 	}
 	s.stats.Evictions++
 	if dirty {
@@ -438,8 +441,8 @@ func (wb *writeBack) drained(uint64) {
 // vacate the budget immediately; no write-back is owed for data the
 // application discarded. A queued fault's entry stays freed-marked in the
 // admission queue and is discharged by admit without moving data.
-func (p *pager) release(asid vmem.ASID, key uint64) {
-	e := p.entries[pagerKey{asid, key}]
+func (p *pager) release(a *appState, key uint64) {
+	e := a.unit(key)
 	if e == nil {
 		return
 	}
@@ -448,13 +451,14 @@ func (p *pager) release(asid vmem.ASID, key uint64) {
 	}
 	e.freed = true
 	p.res.Remove(e)
-	delete(p.entries, pagerKey{asid, key})
+	a.units[key-a.unitBase] = nil
 }
 
 // ResidentPages reports the base pages currently counted against the
-// residency budget (resident plus pending-in commitments).
+// residency budget (resident plus pending-in commitments); 0 when
+// residency is unbounded.
 func (s *System) ResidentPages() uint64 {
-	if s.pager == nil {
+	if s.pager == nil || !s.pager.bounded() {
 		return 0
 	}
 	return s.pager.used

@@ -359,15 +359,47 @@ func TestPagerReleasesBudgetOnFree(t *testing.T) {
 	}
 }
 
+// TestPagerUnboundedConfigIsInert pins what an unbounded pager leaves
+// alone: it moves data, but never evicts or queues a fault, and the
+// bounded-residency counters (omitted from unbounded RunRecords) stay
+// zero. The ideal TLB is exempt from a residency bound, so it behaves
+// the same under one.
 func TestPagerUnboundedConfigIsInert(t *testing.T) {
-	r := newRig(t, Mosaic, nil) // MaxResidentPages unset
-	if r.sys.pager != nil {
-		t.Fatal("pager exists without a residency bound")
-	}
-	r2 := newRig(t, IdealTLB, func(c *config.Config, _ *Options) {
-		c.MaxResidentPages = 512
-	})
-	if r2.sys.pager != nil {
-		t.Fatal("ideal TLB should be exempt from the residency bound")
+	for _, tc := range []struct {
+		name string
+		r    *testRig
+	}{
+		{"unbounded Mosaic", newRig(t, Mosaic, nil)}, // MaxResidentPages unset
+		{"bounded ideal TLB", newRig(t, IdealTLB, func(c *config.Config, _ *Options) {
+			c.MaxResidentPages = 512
+		})},
+	} {
+		name, r := tc.name, tc.r
+		r.sys.RegisterApp(1)
+		const pages = 4 * 512 // four times the smallest bound
+		if err := r.sys.AllocVirtual(0, 1, 0, pages*vmem.BasePageSize); err != nil {
+			t.Fatal(err)
+		}
+		fired := 0
+		for i := uint64(0); i < pages; i++ {
+			r.sys.EnsureResident(i/64, 1, vmem.VirtAddr(i*vmem.BasePageSize), func(uint64) { fired++ })
+		}
+		r.drain()
+		s := r.sys.Stats()
+		if fired != pages || s.FarFaults != pages {
+			t.Errorf("%s: %d of %d faults fired, FarFaults %d", name, fired, pages, s.FarFaults)
+		}
+		for i := uint64(0); i < pages; i++ {
+			if !r.sys.IsResident(1, vmem.VirtAddr(i*vmem.BasePageSize)) {
+				t.Fatalf("%s: page %d not resident", name, i)
+			}
+		}
+		if s.Evictions != 0 || s.EvictedPages != 0 || s.WriteBacks != 0 || s.CleanDrops != 0 || s.Refaults != 0 {
+			t.Errorf("%s: evicted without a bound: %+v", name, s)
+		}
+		if r.sys.ResidentPages() != 0 || s.PeakResidentPages != 0 {
+			t.Errorf("%s: ResidentPages %d, PeakResidentPages %d, want 0 and 0",
+				name, r.sys.ResidentPages(), s.PeakResidentPages)
+		}
 	}
 }

@@ -107,18 +107,19 @@ func (q *ResidencyQueue) Remove(e *PageEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// Front returns the first entry, or nil when the queue is empty.
+// Front returns the first entry, or nil when the queue is empty. It only
+// reads the queue (a never-used queue's links are nil), so concurrent
+// forks may clone one source policy.
 func (q *ResidencyQueue) Front() *PageEntry {
-	q.lazyInit()
 	if q.sent.next == &q.sent {
 		return nil
 	}
 	return q.sent.next
 }
 
-// Back returns the last entry, or nil when the queue is empty.
+// Back returns the last entry, or nil when the queue is empty; like
+// Front, it only reads.
 func (q *ResidencyQueue) Back() *PageEntry {
-	q.lazyInit()
 	if q.sent.prev == &q.sent {
 		return nil
 	}

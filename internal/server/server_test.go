@@ -395,6 +395,9 @@ func TestRequestValidation(t *testing.T) {
 		{"L2 TLB past ceiling", `{"Apps":["HS"],"Dim":"l2base","DimValue":1073741824}`},
 		{"L2 large TLB past ceiling", `{"Apps":["HS"],"Dim":"l2large","DimValue":1073741824}`},
 		{"page-walk cache past ceiling", `{"Apps":["HS"],"Dim":"pwc","DimValue":1073741824}`},
+		// A page-walk cache of 12 entries has 3 sets of 4 ways, a
+		// geometry the cache model cannot build.
+		{"page-walk cache sets not a power of two", `{"Apps":["HS"],"Dim":"pwc","DimValue":12}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))

@@ -406,12 +406,8 @@ func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, erro
 	s.l2gate = tlb.NewPortGate(cfg.L2TLBPorts)
 	var pwc *cache.Cache
 	if cfg.PageWalkCacheEntries > 0 {
-		ways := 4
-		if cfg.PageWalkCacheEntries < ways || cfg.PageWalkCacheEntries%ways != 0 {
-			ways = 1
-		}
 		pwc = cache.MustNew("PWC", cfg.PageWalkCacheEntries*cfg.L2CacheLineSz,
-			cfg.L2CacheLineSz, ways)
+			cfg.L2CacheLineSz, cfg.PageWalkCacheWays())
 	}
 	s.pwc = pwc
 	s.walker = walker.New(cfg.WalkerConcurrency, mgr, s.walkAccess)
