@@ -13,6 +13,7 @@
 //	mosaic-bench -full -fig 16              # full-suite CAC stress study
 //	mosaic-bench -fig 8 -jobs 8             # same bytes, 8 simulations in flight
 //	mosaic-bench -fig 8 -format json -out r.json   # structured export
+//	mosaic-bench -fig 16,t2 -cpuprofile cpu.pprof  # profile a figure (go tool pprof)
 package main
 
 import (
@@ -47,6 +48,7 @@ func main() {
 		snapWarm = flag.Uint64("snapshot-warmup", 0, "amortize the TLB sweeps (figs 14/15): warm each (workload, policy) family for this many cycles under the base config once, then fork it and reconfigure it per cell (0 = off; changes sweep digests). Unlike mosaic-sim's flag of the same name, this is a whole-sweep plan")
 		format   = flag.String("format", "text", "output format: text | json | csv")
 		outPath  = flag.String("out", "", "write output to this file instead of stdout")
+		prof     = cliutil.ProfileFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -97,6 +99,10 @@ func main() {
 	// surface at the final Close and exit non-zero.
 	out, err := cliutil.OpenOutput(*outPath)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -295,6 +301,9 @@ func main() {
 	}
 	if err == nil {
 		err = out.Close()
+	}
+	if err == nil {
+		err = prof.Stop()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -16,6 +16,7 @@
 //	mosaic-sim -apps HS,CONS -policy all -record runs.json
 //	mosaic-sim -server http://127.0.0.1:8641 -apps HS,CONS -policy mosaic
 //	mosaic-sim -apps HS,CONS -policy all -record-store /var/lib/mosaic/store
+//	mosaic-sim -apps SWP-S,SWP-D -oversub 1.5 -frag 1 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -54,6 +55,7 @@ func main() {
 		serverURL = flag.String("server", "", "submit to this mosaicd URL instead of simulating locally (see docs/SERVICE.md)")
 		timeout   = flag.Duration("timeout", 0, "with -server: per-job deadline covering queue wait and run (0 = server default)")
 		list      = flag.Bool("list", false, "list the 27 suite applications and exit")
+		prof      = cliutil.ProfileFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -73,6 +75,14 @@ func main() {
 	if *timeout < 0 {
 		fatal(fmt.Errorf("-timeout must be non-negative"))
 	}
+	if err := prof.Start(); err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
+			fatal(err)
+		}
+	}()
 	// One request carries every run option: -server sends it as is, and
 	// a local run resolves it through server.Resolve exactly as mosaicd
 	// would, so both modes run, print and file the same simulation.

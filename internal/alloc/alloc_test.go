@@ -80,6 +80,46 @@ func TestAllocFreeSlot(t *testing.T) {
 	}
 }
 
+// TestFrameSlotIteratorsMatchBitScan checks the word-at-a-time slot
+// iterators against a bit-by-bit scan from every start slot, on frames
+// from empty to full with a random except set.
+func TestFrameSlotIteratorsMatchBitScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	scan := func(from int, want func(slot int) bool) int {
+		for slot := from; slot < vmem.BasePagesPerLarge; slot++ {
+			if want(slot) {
+				return slot
+			}
+		}
+		return -1
+	}
+	for _, fill := range []int{0, 1, 63, 64, 256, 448, 511, 512} {
+		p := newPool(t, 1)
+		for _, slot := range rng.Perm(vmem.BasePagesPerLarge)[:fill] {
+			if err := p.AllocSlot(PageRef{0, slot}, 1, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var except SlotSet
+		for k := rng.Intn(128); k > 0; k-- {
+			except.Add(rng.Intn(vmem.BasePagesPerLarge))
+		}
+		f := p.Frame(0)
+		for from := 0; from <= vmem.BasePagesPerLarge; from++ {
+			if got, want := f.NextFree(from), scan(from, func(s int) bool { return !f.Allocated(s) }); got != want {
+				t.Fatalf("fill %d: NextFree(%d) = %d, want %d", fill, from, got, want)
+			}
+			if got, want := f.NextAllocated(from), scan(from, f.Allocated); got != want {
+				t.Fatalf("fill %d: NextAllocated(%d) = %d, want %d", fill, from, got, want)
+			}
+			wantExcept := scan(from, func(s int) bool { return !f.Allocated(s) && !except.Has(s) })
+			if got := f.NextFreeExcept(from, &except); got != wantExcept {
+				t.Fatalf("fill %d: NextFreeExcept(%d) = %d, want %d", fill, from, got, wantExcept)
+			}
+		}
+	}
+}
+
 func TestBaselineInterleavesApplications(t *testing.T) {
 	p := newPool(t, 4)
 	b := NewBaseline(p)

@@ -66,7 +66,7 @@ func (b *Baseline) AllocBase(asid vmem.ASID) (vmem.PhysAddr, error) {
 	for scanned := 0; scanned < n; scanned++ {
 		fi := (b.cursor + scanned) % n
 		f := b.pool.Frame(fi)
-		slot := f.firstFree()
+		slot := f.NextFree(0)
 		if slot < 0 {
 			continue
 		}
@@ -236,7 +236,7 @@ func (c *CoCoA) AllocBase(asid vmem.ASID) (vmem.PhysAddr, error) {
 func (c *CoCoA) AllocScavenge(asid vmem.ASID) (vmem.PhysAddr, error) {
 	for fi := 0; fi < c.pool.NumFrames(); fi++ {
 		f := c.pool.Frame(fi)
-		slot := f.firstFree()
+		slot := f.NextFree(0)
 		if slot < 0 {
 			continue
 		}

@@ -16,6 +16,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/vmem"
@@ -43,41 +44,71 @@ type PageRef struct {
 	Slot  int // base frame slot within it, [0, 512)
 }
 
+// SlotSet is a set of base-frame slots of one large frame, one bit per
+// slot.
+type SlotSet [vmem.BasePagesPerLarge / 64]uint64
+
+// Has reports whether slot is in the set.
+func (s *SlotSet) Has(slot int) bool { return s[slot/64]&(1<<(slot%64)) != 0 }
+
+// Add puts slot in the set.
+func (s *SlotSet) Add(slot int) { s[slot/64] |= 1 << (slot % 64) }
+
+// Remove takes slot out of the set.
+func (s *SlotSet) Remove(slot int) { s[slot/64] &^= 1 << (slot % 64) }
+
+// next returns the lowest slot in [from, 512) whose bit is set in
+// flip ^ (s | extra), or -1: flip 0 finds members of s, flip all-ones
+// finds non-members of s outside extra. It tests a word at a time.
+func (s *SlotSet) next(from int, flip uint64, extra *SlotSet) int {
+	for w := from / 64; w < len(s); w++ {
+		word := s[w]
+		if extra != nil {
+			word |= extra[w]
+		}
+		word ^= flip
+		if w == from/64 {
+			word &= ^uint64(0) << (from % 64)
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
 // Frame is the pool's view of one large page frame.
 type Frame struct {
 	Owner   vmem.ASID
-	bitmap  [vmem.BasePagesPerLarge / 64]uint64
+	used    SlotSet
 	Count   int  // allocated base frames
 	PreFrag bool // contains pre-fragmented stress data
 }
 
 // Allocated reports whether the given slot is allocated.
-func (f *Frame) Allocated(slot int) bool {
-	return f.bitmap[slot/64]&(1<<(slot%64)) != 0
+func (f *Frame) Allocated(slot int) bool { return f.used.Has(slot) }
+
+// NextFree returns the lowest free slot at or after from, or -1 when
+// there is none.
+func (f *Frame) NextFree(from int) int { return f.used.next(from, ^uint64(0), nil) }
+
+// NextFreeExcept is NextFree that also passes over the slots in except.
+func (f *Frame) NextFreeExcept(from int, except *SlotSet) int {
+	return f.used.next(from, ^uint64(0), except)
 }
 
+// NextAllocated returns the lowest allocated slot at or after from, or -1
+// when there is none.
+func (f *Frame) NextAllocated(from int) int { return f.used.next(from, 0, nil) }
+
 func (f *Frame) set(slot int) {
-	f.bitmap[slot/64] |= 1 << (slot % 64)
+	f.used.Add(slot)
 	f.Count++
 }
 
 func (f *Frame) clear(slot int) {
-	f.bitmap[slot/64] &^= 1 << (slot % 64)
+	f.used.Remove(slot)
 	f.Count--
-}
-
-// firstFree returns the lowest free slot, or -1 when full.
-func (f *Frame) firstFree() int {
-	for w, bits := range f.bitmap {
-		if bits != ^uint64(0) {
-			for b := 0; b < 64; b++ {
-				if bits&(1<<b) == 0 {
-					return w*64 + b
-				}
-			}
-		}
-	}
-	return -1
 }
 
 // Pool tracks every allocatable large frame of GPU physical memory.

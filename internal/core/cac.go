@@ -28,19 +28,29 @@ func (s *System) splinterAndCompact(now uint64, a *appState, asid vmem.ASID, reg
 		dst  alloc.PageRef
 	}
 	var moves []move
-	taken := make(map[alloc.PageRef]bool)
+	if s.taken == nil {
+		s.taken = make([]alloc.SlotSet, s.pool.NumFrames())
+	}
+	planned := true
 	for i := range mappings {
 		if !mappings[i].Valid {
 			continue
 		}
-		dst, ok := s.findCompactionDst(asid, frameIdx, mappings[i].Frame, taken)
+		dst, ok := s.findCompactionDst(asid, frameIdx, mappings[i].Frame, s.taken)
 		if !ok {
-			s.splinterRegion(now, a, asid, regionVA, frameIdx)
-			s.releaseFreeSlots(asid, frameIdx)
-			return
+			planned = false
+			break
 		}
-		taken[dst] = true
+		s.taken[dst.Frame].Add(dst.Slot)
 		moves = append(moves, move{slot: i, src: mappings[i].Frame, dst: dst})
+	}
+	for _, mv := range moves {
+		s.taken[mv.dst.Frame] = alloc.SlotSet{}
+	}
+	if !planned {
+		s.splinterRegion(now, a, asid, regionVA, frameIdx)
+		s.releaseFreeSlots(asid, frameIdx)
+		return
 	}
 
 	s.splinterRegion(now, a, asid, regionVA, frameIdx)
@@ -114,10 +124,7 @@ func (s *System) compactFragmented(now uint64) bool {
 	}
 
 	last := now
-	for slot := 0; slot < vmem.BasePagesPerLarge && s.pool.Frame(src).Count > 0; slot++ {
-		if !s.pool.Frame(src).Allocated(slot) {
-			continue
-		}
+	for slot := s.pool.Frame(src).NextAllocated(0); slot >= 0; slot = s.pool.Frame(src).NextAllocated(slot + 1) {
 		srcRef := alloc.PageRef{Frame: src, Slot: slot}
 		srcPA := s.pool.Addr(srcRef)
 		dst, ok := s.findFragDst(src, srcPA)
@@ -178,52 +185,43 @@ func (s *System) endCompaction(last uint64) {
 // findFragDst locates a free slot in another fragmented frame, preferring
 // the source page's DRAM channel.
 func (s *System) findFragDst(excludeFrame int, src vmem.PhysAddr) (alloc.PageRef, bool) {
-	srcChan := s.mem.ChannelOf(src)
-	var fallback alloc.PageRef
-	haveFallback := false
-	for fi := 0; fi < s.pool.NumFrames(); fi++ {
-		f := s.pool.Frame(fi)
-		if fi == excludeFrame || !f.PreFrag || f.Count == vmem.BasePagesPerLarge {
-			continue
-		}
-		for slot := 0; slot < vmem.BasePagesPerLarge; slot++ {
-			if f.Allocated(slot) {
-				continue
-			}
-			ref := alloc.PageRef{Frame: fi, Slot: slot}
-			if s.mem.ChannelOf(s.pool.Addr(ref)) == srcChan {
-				return ref, true
-			}
-			if !haveFallback {
-				fallback, haveFallback = ref, true
-			}
-		}
-	}
-	return fallback, haveFallback
+	return s.findFreeSlot(src, nil, func(fi int, f *alloc.Frame) bool {
+		return fi != excludeFrame && f.PreFrag
+	})
 }
 
 // findCompactionDst picks a free slot for a migrated page: a frame owned
 // by the same application, not the source frame, not currently backing a
 // coalesced region, preferring a slot in the same DRAM channel as the
-// source page (so CAC-BC can bulk-copy). taken excludes slots already
-// promised to earlier pages of the same compaction.
-func (s *System) findCompactionDst(asid vmem.ASID, excludeFrame int, src vmem.PhysAddr, taken map[alloc.PageRef]bool) (alloc.PageRef, bool) {
+// source page (so CAC-BC can bulk-copy). taken, one set per frame,
+// excludes slots already promised to earlier pages of the same compaction.
+func (s *System) findCompactionDst(asid vmem.ASID, excludeFrame int, src vmem.PhysAddr, taken []alloc.SlotSet) (alloc.PageRef, bool) {
+	return s.findFreeSlot(src, taken, func(fi int, f *alloc.Frame) bool {
+		return fi != excludeFrame && !s.coalesced[fi] && f.Owner == asid
+	})
+}
+
+// findFreeSlot returns the first free slot, frames in index order and
+// slots ascending, of the frames eligible accepts that lies in src's DRAM
+// channel, else the first free slot of any of them. Slots in taken (nil,
+// or one set per frame) do not count as free. Full frames are passed
+// over without a look at their slots, and free slots are found a word at
+// a time.
+func (s *System) findFreeSlot(src vmem.PhysAddr, taken []alloc.SlotSet, eligible func(fi int, f *alloc.Frame) bool) (alloc.PageRef, bool) {
 	srcChan := s.mem.ChannelOf(src)
 	var fallback alloc.PageRef
 	haveFallback := false
 	for fi := 0; fi < s.pool.NumFrames(); fi++ {
-		if fi == excludeFrame || s.coalesced[fi] {
-			continue
-		}
 		f := s.pool.Frame(fi)
-		if f.Owner != asid || f.Count == vmem.BasePagesPerLarge {
+		if f.Count == vmem.BasePagesPerLarge || !eligible(fi, f) {
 			continue
 		}
-		for slot := 0; slot < vmem.BasePagesPerLarge; slot++ {
+		var except *alloc.SlotSet
+		if taken != nil {
+			except = &taken[fi]
+		}
+		for slot := f.NextFreeExcept(0, except); slot >= 0; slot = f.NextFreeExcept(slot+1, except) {
 			ref := alloc.PageRef{Frame: fi, Slot: slot}
-			if f.Allocated(slot) || taken[ref] {
-				continue
-			}
 			if s.mem.ChannelOf(s.pool.Addr(ref)) == srcChan {
 				return ref, true
 			}

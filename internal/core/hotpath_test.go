@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -140,7 +141,7 @@ func TestLRUResidencyCloneOrder(t *testing.T) {
 // every page has faulted in once, a sweep that keeps evicting and
 // refaulting pages — single pages, clean or written back, under GPU-MMU
 // and whole coalesced frames under Mosaic — allocates
-// nothing. Entries carry pre-bound landing callbacks, fired waiter
+// nothing. Page-ins land through pooled records, fired waiter
 // slices are reused, and write-back records are pooled.
 func TestFaultPathAllocFree(t *testing.T) {
 	for _, policy := range []Policy{GPUMMU4K, Mosaic} {
@@ -192,6 +193,52 @@ func TestFaultPathAllocFree(t *testing.T) {
 			}
 			if landed == 0 {
 				t.Fatal("no fault completion fired")
+			}
+		})
+	}
+}
+
+// TestFirstFaultAllocFree guards the first fault of a unit: its entry is
+// carved from a per-app chunk, its page-in lands through a pooled record
+// and its waiter slice comes from the pool, so once the pools are warm a
+// sweep over never-touched pages allocates only for a new chunk and the
+// residency table's occasional growth.
+func TestFirstFaultAllocFree(t *testing.T) {
+	for _, policy := range []Policy{GPUMMU4K, Mosaic} {
+		t.Run(policy.String(), func(t *testing.T) {
+			r := newRig(t, policy, nil)
+			s := r.sys
+			if err := s.RegisterApp(1); err != nil {
+				t.Fatal(err)
+			}
+			done := func(uint64) {}
+			next, now := uint64(0), uint64(1)
+			// sweep first-faults n fresh pages, eight in flight at a time.
+			sweep := func(n int) {
+				for i := 0; i < n; i++ {
+					va := vmem.VirtAddr(1<<30 + next*vmem.BasePageSize)
+					next++
+					if s.EnsureResident(now, 1, va, done) {
+						t.Fatalf("page %v resident before its first fault", va)
+					}
+					if i%8 == 7 {
+						r.drain()
+					}
+					now += 10
+				}
+				r.drain()
+			}
+			sweep(4096)
+			const faults = 16384
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sweep(faults)
+			runtime.ReadMemStats(&after)
+			if per := float64(after.Mallocs-before.Mallocs) / faults; per >= 1.0/32 {
+				t.Fatalf("first fault allocates %.4f objects on average, want < 1/32", per)
+			}
+			if got := s.Stats().FarFaults; got != 4096+faults {
+				t.Fatalf("FarFaults = %d, want %d", got, 4096+faults)
 			}
 		})
 	}

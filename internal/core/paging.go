@@ -66,9 +66,6 @@ type PageEntry struct {
 	va      vmem.VirtAddr
 	pages   uint64 // base pages covered: 1, or 512 under FaultLarge
 	waiters []func(uint64)
-	// landFn is the bus completion of this unit's page-in (pager.land),
-	// bound once when the entry is made so a refault allocates nothing.
-	landFn func(uint64)
 	// Intrusive residency-queue links (only meaningful while resident).
 	prev, next *PageEntry
 }
@@ -115,6 +112,16 @@ type pager struct {
 	group []*PageEntry
 	// wbFree pools the records dirty write-backs complete through.
 	wbFree []*writeBack
+	// landFree pools the records page-ins complete through.
+	landFree []*landing
+}
+
+// landing is one page-in on its way to GPU memory: the entry it fills,
+// and its bus completion bound once per pooled record.
+type landing struct {
+	p  *pager
+	e  *PageEntry
+	fn func(uint64)
 }
 
 // writeBack is one dirty eviction on its way to the host tier: the
@@ -125,11 +132,19 @@ type writeBack struct {
 	fn    func(uint64)
 }
 
-// newEntry makes the record of one paged unit with its landing callback
-// bound to p.
-func (p *pager) newEntry(asid vmem.ASID, key, pages uint64) *PageEntry {
-	e := &PageEntry{asid: asid, key: key, pages: pages}
-	e.landFn = func(cycle uint64) { p.land(e, cycle) }
+// entryChunk is how many entries an app's chunk holds: a first fault
+// allocates only when its app's chunk runs out, and a chunk is a few KB.
+const entryChunk = 64
+
+// newEntry makes the record of one paged unit of a, carved from a's
+// current chunk.
+func (a *appState) newEntry(asid vmem.ASID, key, pages uint64) *PageEntry {
+	if len(a.spare) == 0 {
+		a.spare = make([]PageEntry, entryChunk)
+	}
+	e := &a.spare[0]
+	a.spare = a.spare[1:]
+	*e = PageEntry{asid: asid, key: key, pages: pages}
 	return e
 }
 
@@ -176,7 +191,7 @@ func (p *pager) clone(ns *System) *pager {
 			if len(e.waiters) != 0 {
 				panic("core: pager clone with waiters outstanding")
 			}
-			ne := np.newEntry(e.asid, e.key, e.pages)
+			ne := na.newEntry(e.asid, e.key, e.pages)
 			ne.va, ne.state, ne.dirty, ne.evicted, ne.freed = e.va, e.state, e.dirty, e.evicted, e.freed
 			na.units[i] = ne
 		}
@@ -223,7 +238,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 		if s.opt.Fault == FaultLarge {
 			pages = vmem.BasePagesPerLarge
 		}
-		e = p.newEntry(asid, key, pages)
+		e = a.newEntry(asid, key, pages)
 		a.setUnit(key, e)
 	}
 	e.va = va.BasePageBase()
@@ -268,11 +283,34 @@ func (p *pager) issue(now uint64, e *PageEntry) {
 	if s.opt.Fault == FaultLarge {
 		size = vmem.Large
 	}
-	fin := s.bus.Transfer(now, size, e.landFn)
+	l := p.acquireLanding()
+	l.e = e
+	fin := s.bus.Transfer(now, size, l.fn)
 	s.trace.Record(trace.Event{
 		Cycle: now, Kind: trace.EvFarFault, ASID: e.asid,
 		VA: e.va, Size: size.Bytes(), Latency: fin - now,
 	})
+}
+
+// acquireLanding pops a landing record from the pool or builds one.
+func (p *pager) acquireLanding() *landing {
+	if n := len(p.landFree); n > 0 {
+		l := p.landFree[n-1]
+		p.landFree = p.landFree[:n-1]
+		return l
+	}
+	l := &landing{p: p}
+	l.fn = l.landed
+	return l
+}
+
+// landed fires when the page-in's data is in GPU memory: the record
+// returns to the pool and the entry lands.
+func (l *landing) landed(cycle uint64) {
+	e := l.e
+	l.e = nil
+	l.p.landFree = append(l.p.landFree, l)
+	l.p.land(e, cycle)
 }
 
 // land completes e's page-in: the unit becomes resident (unless its range

@@ -59,8 +59,10 @@ type appState struct {
 	table *pagetable.PageTable
 	// units[i] is the pager's entry of fault key unitBase+i (nil: never
 	// faulted, or freed). An app's VA range is contiguous, so it is dense.
-	units     []*PageEntry
-	unitBase  uint64
+	units    []*PageEntry
+	unitBase uint64
+	// spare is the unused rest of the chunk new entries are carved from.
+	spare     []PageEntry
 	liveBytes uint64
 	// pagesPerFrame counts this app's mapped base pages per large frame,
 	// for footprint/bloat accounting.
@@ -86,8 +88,10 @@ func (a *appState) setUnit(key uint64, e *PageEntry) {
 		a.units = append(make([]*PageEntry, shift, shift+uint64(len(a.units))), a.units...)
 		a.unitBase -= shift
 	}
-	if n := uint64(len(a.units)); key-a.unitBase >= n {
-		a.units = append(a.units, make([]*PageEntry, key-a.unitBase+1-n)...)
+	// Grow one slot at a time: append(units, make(...)...) allocates the
+	// temporary slice when the race detector disables that optimisation.
+	for uint64(len(a.units)) <= key-a.unitBase {
+		a.units = append(a.units, nil)
 	}
 	a.units[key-a.unitBase] = e
 }
@@ -120,6 +124,9 @@ type System struct {
 	coalesced map[int]bool
 	emergency []emergencyEntry
 	onEmerg   map[uint64]bool // regions already parked, keyed by packed id
+	// taken is splinterAndCompact's scratch, one set per frame of the
+	// slots promised to the pages it plans to move; empty between calls.
+	taken []alloc.SlotSet
 
 	// pager runs demand paging; it bounds GPU residency when
 	// MaxResidentPages is set. Nil when the I/O bus is disabled: every
@@ -726,10 +733,8 @@ func (s *System) recoverFrames(now uint64, asid vmem.ASID) {
 func (s *System) releaseFreeSlots(asid vmem.ASID, frameIdx int) {
 	var free []alloc.PageRef
 	f := s.pool.Frame(frameIdx)
-	for slot := 0; slot < vmem.BasePagesPerLarge; slot++ {
-		if !f.Allocated(slot) {
-			free = append(free, alloc.PageRef{Frame: frameIdx, Slot: slot})
-		}
+	for slot := f.NextFree(0); slot >= 0; slot = f.NextFree(slot + 1) {
+		free = append(free, alloc.PageRef{Frame: frameIdx, Slot: slot})
 	}
 	s.cocoa.ReleaseSlots(asid, free)
 }

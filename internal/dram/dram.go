@@ -210,9 +210,13 @@ func (d *DRAM) Enqueue(now uint64, r Request) {
 
 // dispatch applies FR-FCFS on one channel: for every bank that is free,
 // pick the oldest row-hit request for that bank if one exists, otherwise
-// the oldest request for that bank.
+// the oldest request for that bank. Most wake-ups at a bank's ready
+// cycle find the channel empty and return at once.
 func (d *DRAM) dispatch(chanIdx int, now uint64) {
 	ch := &d.channels[chanIdx]
+	if ch.queued == 0 {
+		return
+	}
 	for bankIdx := range ch.banks {
 		b := &ch.banks[bankIdx]
 		if len(b.queue) == 0 {

@@ -50,13 +50,14 @@ type Bus struct {
 	largeOcc uint64
 
 	busyUntil uint64
-	// inflight holds the completion cycles of transfers that have been
-	// issued but not yet delivered. Queue depth is derived from it at
-	// issue time rather than from event-queue callbacks, so same-cycle
-	// ordering between completions and new arrivals is well defined: a
-	// transfer completing exactly at cycle c does not count toward the
-	// depth seen by a transfer arriving at c.
+	// inflight[head:] holds, in ascending order, the completion cycles of
+	// transfers that have been issued but not yet delivered. Queue depth
+	// is derived from it at issue time rather than from event-queue
+	// callbacks, so same-cycle ordering between completions and new
+	// arrivals is well defined: a transfer completing exactly at cycle c
+	// does not count toward the depth seen by a transfer arriving at c.
 	inflight []uint64
+	head     int
 	stats    Stats
 }
 
@@ -83,7 +84,8 @@ func New(cfg config.Config, q *event.Queue) *Bus {
 func (b *Bus) Clone(q *event.Queue) *Bus {
 	nb := *b
 	nb.q = q
-	nb.inflight = append([]uint64(nil), b.inflight...)
+	nb.inflight = append([]uint64(nil), b.inflight[b.head:]...)
+	nb.head = 0
 	return &nb
 }
 
@@ -119,18 +121,26 @@ func (b *Bus) admit(now, occ uint64) uint64 {
 }
 
 // track records an in-flight transfer completing at finish for a request
-// arriving at now and updates MaxQueueDepth. Completed entries are pruned
-// in place; a transfer whose completion cycle equals now has already
-// delivered by the time the new arrival is observed.
+// arriving at now and updates MaxQueueDepth. A transfer whose completion
+// cycle equals now has already delivered by the time the new arrival is
+// observed. Admission is FIFO, so completions arrive nearly in order:
+// delivered ones leave from the front, and a new one is inserted by
+// shifting the few later completions up.
 func (b *Bus) track(now, finish uint64) {
-	live := b.inflight[:0]
-	for _, f := range b.inflight {
-		if f > now {
-			live = append(live, f)
-		}
+	for b.head < len(b.inflight) && b.inflight[b.head] <= now {
+		b.head++
 	}
-	b.inflight = append(live, finish)
-	if d := len(b.inflight); d > b.stats.MaxQueueDepth {
+	if b.head == len(b.inflight) || b.head > len(b.inflight)/2 {
+		n := copy(b.inflight, b.inflight[b.head:])
+		b.inflight, b.head = b.inflight[:n], 0
+	}
+	i := len(b.inflight)
+	b.inflight = append(b.inflight, finish)
+	for ; i > b.head && b.inflight[i-1] > finish; i-- {
+		b.inflight[i] = b.inflight[i-1]
+	}
+	b.inflight[i] = finish
+	if d := len(b.inflight) - b.head; d > b.stats.MaxQueueDepth {
 		b.stats.MaxQueueDepth = d
 	}
 }
