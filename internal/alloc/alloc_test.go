@@ -413,6 +413,32 @@ func TestPreFragment(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm: the reused-buffer shuffle PreFragment draws
+// slot orders with yields rand.Perm's permutation and leaves the source
+// at the same position, for several seeds and sizes, and with a buffer
+// holding an earlier permutation.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, n := range []int{0, 1, 2, 7, 64, vmem.BasePagesPerLarge} {
+			want := rand.New(rand.NewSource(seed))
+			got := rand.New(rand.NewSource(seed))
+			buf := make([]int, n)
+			for round := 0; round < 3; round++ {
+				perm := want.Perm(n)
+				permInto(got, buf)
+				for i := range perm {
+					if buf[i] != perm[i] {
+						t.Fatalf("seed %d n %d round %d: buf[%d] = %d, Perm %d", seed, n, round, i, buf[i], perm[i])
+					}
+				}
+			}
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d n %d: next draw %d, after Perm %d", seed, n, a, b)
+			}
+		}
+	}
+}
+
 func TestReturnFrame(t *testing.T) {
 	p := newPool(t, 1)
 	c := NewCoCoA(p)

@@ -237,14 +237,26 @@ func (p *Pool) PreFragment(rng *rand.Rand, index, occupancy float64) {
 	if pagesPer < 1 && occupancy > 0 {
 		pagesPer = 1
 	}
+	slots := make([]int, vmem.BasePagesPerLarge)
 	for _, fi := range perm[:nFrag] {
 		f := &p.frames[fi]
 		f.Owner = FragOwner
 		f.PreFrag = true
-		slots := rng.Perm(vmem.BasePagesPerLarge)
+		permInto(rng, slots)
 		for _, s := range slots[:pagesPer] {
 			f.set(s)
 		}
+	}
+}
+
+// permInto fills buf with the permutation rng.Perm(len(buf)) would
+// return, by the same inside-out shuffle and the same draws, without
+// allocating a new slice.
+func permInto(rng *rand.Rand, buf []int) {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
 	}
 }
 

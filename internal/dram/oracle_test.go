@@ -13,23 +13,43 @@ import (
 // scanDRAM is the whole-channel-scan FR-FCFS scheduler the per-bank
 // queues replaced, kept as a test oracle: one queue per channel in
 // arrival order, scanned once per bank for the oldest row hit, else the
-// oldest request, with fresh closures per event. It shares the address
-// mapping and bank state of a real DRAM and reimplements only the queue
-// and the scheduler.
+// oldest request, with fresh closures per event. It borrows a real
+// DRAM's configuration, event queue, stats and address mapping, and
+// keeps its own bank and bus state, so it models the visit-every-bank
+// scan whatever layout the real scheduler uses.
 type scanDRAM struct {
 	*DRAM
-	queues [][]*scanReq
+	queues  [][]*scanReq
+	banks   [][]scanBank
+	busFree []uint64
+}
+
+type scanBank struct {
+	openRow     uint64
+	busyUntil   uint64
+	retryQueued bool
 }
 
 type scanReq struct {
-	done      func(cycle uint64)
-	bank      int
-	row       uint64
-	bankRetry bool
+	done func(cycle uint64)
+	bank int
+	row  uint64
 }
 
 func newScanDRAM(cfg config.Config, q *event.Queue) *scanDRAM {
-	return &scanDRAM{DRAM: New(cfg, q), queues: make([][]*scanReq, cfg.MemoryPartitons)}
+	d := &scanDRAM{
+		DRAM:    New(cfg, q),
+		queues:  make([][]*scanReq, cfg.MemoryPartitons),
+		banks:   make([][]scanBank, cfg.MemoryPartitons),
+		busFree: make([]uint64, cfg.MemoryPartitons),
+	}
+	for ci := range d.banks {
+		d.banks[ci] = make([]scanBank, cfg.DRAMBanksPerChannel)
+		for bi := range d.banks[ci] {
+			d.banks[ci][bi].openRow = noOpenRow
+		}
+	}
+	return d
 }
 
 func (d *scanDRAM) Enqueue(now uint64, r Request) {
@@ -42,9 +62,8 @@ func (d *scanDRAM) Enqueue(now uint64, r Request) {
 }
 
 func (d *scanDRAM) dispatch(ci int, now uint64) {
-	ch := &d.channels[ci]
-	for bi := range ch.banks {
-		b := &ch.banks[bi]
+	for bi := range d.banks[ci] {
+		b := &d.banks[ci][bi]
 		if b.busyUntil > now {
 			if !b.retryQueued && d.hasWork(ci, bi) {
 				b.retryQueued = true
@@ -91,8 +110,7 @@ func (d *scanDRAM) pick(ci, bi int, openRow uint64) int {
 }
 
 func (d *scanDRAM) service(ci, bi int, r *scanReq, now uint64) {
-	ch := &d.channels[ci]
-	b := &ch.banks[bi]
+	b := &d.banks[ci][bi]
 	lat, busy := uint64(d.cfg.DRAMRowMissCycles), uint64(d.cfg.DRAMRowMissBusy)
 	if b.openRow == r.row {
 		lat, busy = uint64(d.cfg.DRAMRowHitCycles), uint64(d.cfg.DRAMRowHitBusy)
@@ -105,8 +123,8 @@ func (d *scanDRAM) service(ci, bi int, r *scanReq, now uint64) {
 	d.stats.ChannelAccesses[ci]++
 	ready := now + lat
 	burst := uint64(d.cfg.DRAMBusCycles)
-	done := max64(ready, ch.busFree) + burst
-	ch.busFree = done
+	done := max64(ready, d.busFree[ci]) + burst
+	d.busFree[ci] = done
 	b.busyUntil = now + busy
 	d.stats.BusyCycles += burst
 	dn := r.done
@@ -116,6 +134,14 @@ func (d *scanDRAM) service(ci, bi int, r *scanReq, now uint64) {
 		}
 	})
 	d.q.Schedule(ready, func(cycle uint64) { d.dispatch(ci, cycle) })
+}
+
+func (d *scanDRAM) PendingRequests() int {
+	n := 0
+	for _, q := range d.queues {
+		n += len(q)
+	}
+	return n
 }
 
 type enqueuer interface {

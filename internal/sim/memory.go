@@ -252,7 +252,7 @@ func (r *memReq) complete(c uint64) {
 		w.state = warpReady
 		m.wakeAdd(w.idx, c+1)
 		w.retired++
-		w.computeLeft = w.gen.Spec().ComputePerMem + w.jitter()
+		w.computeLeft = m.app.computePerMem + w.jitter()
 	}
 }
 

@@ -157,6 +157,12 @@ type appRun struct {
 	buffers []buffer
 	sms     []*sm
 	liveSMs int
+	// computePerMem and accesses are read off the warps' specs once in
+	// setupApps: the compute phase after each memory instruction, and
+	// the memory instructions all the app's warps execute (under the
+	// MaxWarpInstructions cap the generators hold).
+	computePerMem int
+	accesses      uint64
 	// results
 	instructions uint64
 	finishCycle  uint64
@@ -523,6 +529,8 @@ func (s *Simulator) setupApps() error {
 		if s.cfg.MaxWarpInstructions > 0 && cap.AccessesPerWarp > s.cfg.MaxWarpInstructions {
 			cap.AccessesPerWarp = s.cfg.MaxWarpInstructions
 		}
+		app.computePerMem = cap.ComputePerMem
+		app.accesses = uint64(warpTotal) * uint64(cap.AccessesPerWarp)
 		for c := 0; c < count; c++ {
 			m := &sm{
 				id:  smID,
@@ -697,15 +705,13 @@ func (s *Simulator) pollDealloc(c uint64) {
 		if app.deallocDone || app.completed {
 			continue
 		}
-		total := uint64(0)
 		left := uint64(0)
 		for _, m := range app.sms {
 			for _, w := range m.warps {
-				total += uint64(w.gen.Spec().AccessesPerWarp)
 				left += uint64(w.gen.Remaining())
 			}
 		}
-		if left*2 > total {
+		if left*2 > app.accesses {
 			pending = true
 			continue
 		}

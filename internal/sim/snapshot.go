@@ -248,15 +248,17 @@ func (sn *Snapshot) Fork() *Simulator {
 	appOf := make(map[*appRun]*appRun, len(s.apps))
 	for _, a := range s.apps {
 		na := &appRun{
-			asid:         a.asid,
-			spec:         a.spec,
-			base:         a.base,
-			buffers:      append([]buffer(nil), a.buffers...),
-			liveSMs:      a.liveSMs,
-			instructions: a.instructions,
-			finishCycle:  a.finishCycle,
-			completed:    a.completed,
-			deallocDone:  a.deallocDone,
+			asid:          a.asid,
+			spec:          a.spec,
+			base:          a.base,
+			buffers:       append([]buffer(nil), a.buffers...),
+			liveSMs:       a.liveSMs,
+			computePerMem: a.computePerMem,
+			accesses:      a.accesses,
+			instructions:  a.instructions,
+			finishCycle:   a.finishCycle,
+			completed:     a.completed,
+			deallocDone:   a.deallocDone,
 		}
 		appOf[a] = na
 		ns.apps = append(ns.apps, na)

@@ -13,6 +13,7 @@ package tlb
 import (
 	"fmt"
 
+	"repro/internal/slotidx"
 	"repro/internal/vmem"
 )
 
@@ -75,53 +76,110 @@ const validTag = 1 << 63
 // tagOf packs a translation's key into its tags word.
 func tagOf(asid vmem.ASID, vpn uint64) uint64 { return vpn<<16 | uint64(asid) | validTag }
 
-// wayMeta is the payload of one way: its frame and LRU timestamp.
+// wayMeta is the payload of one way: its frame, its LRU timestamp and
+// its links in the set's recency list.
 type wayMeta struct {
-	frame    vmem.PhysAddr
-	lastUsed uint64
+	frame      vmem.PhysAddr
+	lastUsed   uint64
+	prev, next int32 // neighbouring ways in the recency list; -1 ends it
+}
+
+// recency lists one set's valid ways from least to most recently used.
+// Every lookup and insert stamps its way with a fresh tick, so the list
+// order is the order of lastUsed and its LRU end is the way with the
+// oldest stamp.
+type recency struct {
+	lru, mru int32 // -1 when the set holds no valid way
+	valid    int32
 }
 
 // entrySet is one set-associative array with LRU replacement.
-// sets == 1 makes it fully associative. Lookups, probes and flushes scan
-// only the packed tags; the parallel meta array is touched on a hit or a
-// replacement.
+// sets == 1 makes it fully associative. An index from packed tag to way
+// answers lookups, probes and single-entry flushes with one hash probe
+// whatever the geometry, and each set's recency list names its
+// replacement victim, so no operation but a per-ASID or full flush scans
+// the ways.
 type entrySet struct {
-	sets int
-	ways int
-	tags []uint64
-	meta []wayMeta
-	tick uint64
+	sets  int
+	ways  int
+	tags  []uint64
+	meta  []wayMeta
+	lists []recency
+	idx   slotidx.Index // valid tag -> way
+	tick  uint64
 }
 
 func newEntrySet(entries, ways int) (*entrySet, error) {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("tlb: bad geometry entries=%d ways=%d", entries, ways)
 	}
-	return &entrySet{
+	e := &entrySet{
 		sets: entries / ways, ways: ways,
 		tags: make([]uint64, entries), meta: make([]wayMeta, entries),
-	}, nil
+		lists: make([]recency, entries/ways),
+	}
+	for i := range e.lists {
+		e.lists[i] = recency{lru: -1, mru: -1}
+	}
+	return e, nil
 }
 
-// set returns the first way index of tag t's set.
+// set returns the set tag t maps to.
 func (e *entrySet) set(t uint64) int {
 	if e.sets == 1 {
 		return 0
 	}
 	vpn, asid := (t&^validTag)>>16, uint64(uint16(t))
 	h := vpn*0x9E3779B97F4A7C15 ^ asid*0xBF58476D1CE4E5B9
-	return int(h%uint64(e.sets)) * e.ways
+	return int(h % uint64(e.sets))
 }
 
 // find returns the way holding tag t, or -1.
 func (e *entrySet) find(t uint64) int {
-	base := e.set(t)
-	for i, tg := range e.tags[base : base+e.ways] {
-		if tg == t {
-			return base + i
-		}
+	i, ok := e.idx.Get(t)
+	if !ok {
+		return -1
 	}
-	return -1
+	return int(i)
+}
+
+// unlink removes way i from its set's recency list.
+func (e *entrySet) unlink(l *recency, i int32) {
+	m := &e.meta[i]
+	if m.prev >= 0 {
+		e.meta[m.prev].next = m.next
+	} else {
+		l.lru = m.next
+	}
+	if m.next >= 0 {
+		e.meta[m.next].prev = m.prev
+	} else {
+		l.mru = m.prev
+	}
+}
+
+// pushMRU appends way i at the most recently used end of its set's list.
+func (e *entrySet) pushMRU(l *recency, i int32) {
+	m := &e.meta[i]
+	m.prev, m.next = l.mru, -1
+	if l.mru >= 0 {
+		e.meta[l.mru].next = i
+	} else {
+		l.lru = i
+	}
+	l.mru = i
+}
+
+// touch stamps valid way i with the current tick and moves it to the
+// most recently used end of its set's list.
+func (e *entrySet) touch(i int) {
+	e.meta[i].lastUsed = e.tick
+	if e.meta[i].next < 0 {
+		return // already the most recently used
+	}
+	l := &e.lists[i/e.ways]
+	e.unlink(l, int32(i))
+	e.pushMRU(l, int32(i))
 }
 
 func (e *entrySet) lookup(t uint64) (vmem.PhysAddr, bool) {
@@ -130,7 +188,7 @@ func (e *entrySet) lookup(t uint64) (vmem.PhysAddr, bool) {
 	if i < 0 {
 		return 0, false
 	}
-	e.meta[i].lastUsed = e.tick
+	e.touch(i)
 	return e.meta[i].frame, true
 }
 
@@ -138,49 +196,60 @@ func (e *entrySet) probe(t uint64) bool { return e.find(t) >= 0 }
 
 // insert caches a translation and reports whether a valid entry with a
 // different key was displaced to make room. The victim is the first
-// invalid way of the set, else its least recently used way (the first
-// one on a tie).
+// invalid way of the set, else its least recently used way.
 func (e *entrySet) insert(t uint64, frame vmem.PhysAddr) (evicted bool) {
-	base := e.set(t)
 	e.tick++
-	victim := -1
-	for i, tg := range e.tags[base : base+e.ways] {
-		if tg == t {
-			e.meta[base+i] = wayMeta{frame: frame, lastUsed: e.tick}
-			return false
-		}
-		if victim < 0 && tg&validTag == 0 {
-			victim = base + i
-		}
+	if i := e.find(t); i >= 0 {
+		e.meta[i].frame = frame
+		e.touch(i)
+		return false
 	}
-	if victim < 0 {
-		victim = base
-		for i := base + 1; i < base+e.ways; i++ {
-			if e.meta[i].lastUsed < e.meta[victim].lastUsed {
-				victim = i
-			}
+	set := e.set(t)
+	l := &e.lists[set]
+	var victim int
+	if int(l.valid) < e.ways {
+		// Only a set still warming up or thinned by flushes scans.
+		victim = set * e.ways
+		for e.tags[victim]&validTag != 0 {
+			victim++
 		}
+		l.valid++
+	} else {
+		victim = int(l.lru)
+		e.idx.Take(e.tags[victim])
+		e.unlink(l, l.lru)
 		evicted = true
 	}
 	e.tags[victim] = t
-	e.meta[victim] = wayMeta{frame: frame, lastUsed: e.tick}
+	e.meta[victim].frame, e.meta[victim].lastUsed = frame, e.tick
+	e.pushMRU(l, int32(victim))
+	e.idx.Put(t, int32(victim))
 	return evicted
 }
 
-func (e *entrySet) invalidate(t uint64) bool {
-	i := e.find(t)
-	if i < 0 {
-		return false
-	}
+// drop invalidates valid way i, which the caller has already taken out
+// of the index.
+func (e *entrySet) drop(i int) {
+	l := &e.lists[i/e.ways]
+	e.unlink(l, int32(i))
+	l.valid--
 	e.tags[i] = 0
-	return true
+}
+
+func (e *entrySet) invalidate(t uint64) bool {
+	i, ok := e.idx.Take(t)
+	if ok {
+		e.drop(int(i))
+	}
+	return ok
 }
 
 func (e *entrySet) invalidateASID(asid vmem.ASID) int {
 	n := 0
 	for i, tg := range e.tags {
 		if tg&validTag != 0 && vmem.ASID(tg) == asid {
-			e.tags[i] = 0
+			e.idx.Take(tg)
+			e.drop(i)
 			n++
 		}
 	}
@@ -191,22 +260,15 @@ func (e *entrySet) invalidateAll() int {
 	n := 0
 	for i, tg := range e.tags {
 		if tg&validTag != 0 {
-			e.tags[i] = 0
+			e.idx.Take(tg)
+			e.drop(i)
 			n++
 		}
 	}
 	return n
 }
 
-func (e *entrySet) occupancy() int {
-	n := 0
-	for _, tg := range e.tags {
-		if tg&validTag != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (e *entrySet) occupancy() int { return e.idx.Len() }
 
 // TLB is one translation lookaside buffer level with split base/large
 // entry arrays. Not safe for concurrent use.
@@ -277,11 +339,19 @@ func (t *TLB) Clone() *TLB {
 // record must still account for lookups made before the rebuild).
 func (t *TLB) RestoreStats(s Stats) { t.stats = s }
 
-// clone deep-copies one entry array including LRU state.
+// clone deep-copies one entry array including LRU state and rebuilds
+// its index.
 func (e *entrySet) clone() *entrySet {
 	ne := *e
 	ne.tags = append([]uint64(nil), e.tags...)
 	ne.meta = append([]wayMeta(nil), e.meta...)
+	ne.lists = append([]recency(nil), e.lists...)
+	ne.idx = slotidx.Index{}
+	for i, tg := range e.tags {
+		if tg&validTag != 0 {
+			ne.idx.Put(tg, int32(i))
+		}
+	}
 	return &ne
 }
 

@@ -346,3 +346,40 @@ func TestLatencyAccessor(t *testing.T) {
 		t.Errorf("accessors: %d %q", tl.Latency(), tl.Name())
 	}
 }
+
+// TestTLBAllocFree guards the translation hot path: once the arrays and
+// their indexes are warm, lookups, inserts that evict, and single-entry
+// flushes allocate nothing, on the fully associative L1 geometry and the
+// set-associative L2 one.
+func TestTLBAllocFree(t *testing.T) {
+	for _, cfg := range []Config{l1Config(), l2Config()} {
+		tl := MustNew(cfg)
+		round := func() {
+			// Twice the base capacity of keys: inserts past warm-up evict.
+			for i := 0; i < 2*cfg.BaseEntries; i++ {
+				va := vmem.VirtAddr(i) << vmem.BasePageShift
+				asid := vmem.ASID(1 + i%2)
+				if _, ok := tl.LookupLarge(asid, va); !ok {
+					if _, ok := tl.LookupBase(asid, va); !ok {
+						tl.InsertBase(asid, va, vmem.PhysAddr(va))
+					}
+				}
+				if i%64 == 0 {
+					lva := vmem.VirtAddr(i) << vmem.LargePageShift
+					tl.InsertLarge(asid, lva, vmem.PhysAddr(lva))
+				}
+				if i%7 == 0 {
+					tl.FlushBaseEntry(asid, va)
+					tl.FlushLargeEntry(asid, va)
+				}
+			}
+		}
+		round()
+		if avg := testing.AllocsPerRun(20, round); avg != 0 {
+			t.Fatalf("%s: lookups, inserts and flushes allocate %.1f objects per round, want 0", cfg.Name, avg)
+		}
+		if tl.Stats().Evictions == 0 {
+			t.Fatalf("%s: no insert evicted; the guard does not cover replacement", cfg.Name)
+		}
+	}
+}

@@ -327,9 +327,6 @@ func (g *StreamGen) Clone() *StreamGen {
 // Remaining returns how many memory instructions the warp has left.
 func (g *StreamGen) Remaining() int { return g.remaining }
 
-// Spec returns the generating application model.
-func (g *StreamGen) Spec() Spec { return g.spec }
-
 // Next produces the working-set offsets of the warp's next memory
 // instruction into buf (up to Divergence entries) and reports how many
 // were written. It returns 0 when the warp's program is exhausted.
@@ -337,7 +334,7 @@ func (g *StreamGen) Next(buf []uint64) int {
 	if g.remaining <= 0 {
 		return 0
 	}
-	if g.spec.IsReplay() {
+	if g.spec.replay != nil { // not IsReplay: its value receiver copies the Spec
 		return g.replayNext(buf)
 	}
 	g.remaining--
