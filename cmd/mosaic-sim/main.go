@@ -47,7 +47,7 @@ func main() {
 		oversub   = flag.Float64("oversub", 0, "oversubscription ratio: bound GPU memory to workingset/ratio pages (0 = unbounded)")
 		frag      = flag.Float64("frag", 0, "pre-fragmentation index [0,1] (§6.4 stress)")
 		fragOcc   = flag.Float64("frag-occupancy", 0.5, "pre-fragmented frame occupancy [0,1]")
-		dealloc   = flag.Float64("dealloc", 0, "fraction of a scratch buffer freed mid-run (exercises CAC)")
+		dealloc   = flag.Float64("dealloc", 0, "fraction of a scratch buffer freed mid-run (splinters coalesced regions; CAC compacts only with -frag)")
 		snapWarm  = flag.Uint64("snapshot-warmup", 0, "run as a two-phase plan: warm up to this cycle, quiesce, then measure (0 = single-phase; changes the config digest)")
 		traceOut  = flag.String("trace", "", "write a JSON event trace to this file (local runs only)")
 		recordOut = flag.String("record", "", "write the runs' structured records as a JSON report to this file (see docs/RESULTS_SCHEMA.md)")

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/lru"
 	"repro/internal/slotidx"
 	"repro/internal/vmem"
 )
@@ -36,22 +37,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type line struct {
-	tag      uint64
-	valid    bool
-	lastUsed uint64
-}
-
 // Cache is a single set-associative tag store. It is not safe for
 // concurrent use.
 type Cache struct {
 	name      string
 	ways      int
-	sets      int
+	setMask   uint64 // sets - 1; the set count is a power of two
 	lineShift uint
-	lines     []line // sets * ways, row-major by set
-	tick      uint64
-	stats     Stats
+	// tags holds each way's line address shifted left by one with the
+	// low bit set, or 0 for an invalid way, sets * ways row-major by set.
+	tags  []uint64
+	lru   lru.Lists // each set's valid ways, least recently used first
+	stats Stats
 
 	// mshr maps a line address to its slot in waiters, which holds the
 	// completion callbacks of all requests waiting on that line's fill.
@@ -71,6 +68,9 @@ func New(name string, totalBytes, lineSize, ways int) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: line size %d not a power of two", name, lineSize)
 	}
 	numLines := totalBytes / lineSize
+	if numLines == 0 {
+		return nil, fmt.Errorf("cache %s: %d bytes hold no %d-byte line", name, totalBytes, lineSize)
+	}
 	if numLines%ways != 0 {
 		return nil, fmt.Errorf("cache %s: %d lines not divisible by %d ways", name, numLines, ways)
 	}
@@ -81,9 +81,10 @@ func New(name string, totalBytes, lineSize, ways int) (*Cache, error) {
 	return &Cache{
 		name:      name,
 		ways:      ways,
-		sets:      sets,
+		setMask:   uint64(sets - 1),
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
-		lines:     make([]line, sets*ways),
+		tags:      make([]uint64, sets*ways),
+		lru:       lru.New(sets, ways),
 	}, nil
 }
 
@@ -109,8 +110,8 @@ func (c *Cache) Clone() *Cache {
 		panic(fmt.Sprintf("cache %s: Clone with %d outstanding MSHR entries", c.name, c.mshr.Len()))
 	}
 	nc := *c
-	nc.lines = make([]line, len(c.lines))
-	copy(nc.lines, c.lines)
+	nc.tags = append([]uint64(nil), c.tags...)
+	nc.lru = c.lru.Clone()
 	nc.mshr = slotidx.Index{}
 	nc.waiters, nc.free = nil, nil
 	return &nc
@@ -119,7 +120,21 @@ func (c *Cache) Clone() *Cache {
 // LineAddr returns the line-granularity address of a.
 func (c *Cache) LineAddr(a vmem.PhysAddr) uint64 { return uint64(a) >> c.lineShift }
 
-func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr % uint64(c.sets)) }
+func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr & c.setMask) }
+
+// tagOf packs a line address into its tags word.
+func tagOf(lineAddr uint64) uint64 { return lineAddr<<1 | 1 }
+
+// find returns the way of set holding tag t, or -1.
+func (c *Cache) find(set int, t uint64) int {
+	base := set * c.ways
+	for i, tg := range c.tags[base : base+c.ways] {
+		if tg == t {
+			return base + i
+		}
+	}
+	return -1
+}
 
 // Lookup probes the cache. On a hit it refreshes LRU state and returns
 // true. On a miss it returns false and leaves the cache unchanged; callers
@@ -127,15 +142,10 @@ func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr % uint64(c.sets
 func (c *Cache) Lookup(a vmem.PhysAddr) bool {
 	la := c.LineAddr(a)
 	set := c.setOf(la)
-	base := set * c.ways
-	c.tick++
-	for i := 0; i < c.ways; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == la {
-			ln.lastUsed = c.tick
-			c.stats.Hits++
-			return true
-		}
+	if i := c.find(set, tagOf(la)); i >= 0 {
+		c.lru.Touch(set, i)
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
 	return false
@@ -145,65 +155,50 @@ func (c *Cache) Lookup(a vmem.PhysAddr) bool {
 // LRU or stats.
 func (c *Cache) Contains(a vmem.PhysAddr) bool {
 	la := c.LineAddr(a)
-	base := c.setOf(la) * c.ways
-	for i := 0; i < c.ways; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == la {
-			return true
-		}
-	}
-	return false
+	return c.find(c.setOf(la), tagOf(la)) >= 0
 }
 
 // Fill inserts the line for a, evicting the LRU way if the set is full.
 // It returns the evicted line address and whether an eviction occurred.
+// While the set is not full the line takes its first invalid way.
 func (c *Cache) Fill(a vmem.PhysAddr) (evicted uint64, wasEvicted bool) {
 	la := c.LineAddr(a)
-	base := c.setOf(la) * c.ways
-	c.tick++
+	set := c.setOf(la)
+	t := tagOf(la)
 	c.stats.Fills++
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for i := 0; i < c.ways; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == la { // already present (racing fill)
-			ln.lastUsed = c.tick
-			return 0, false
-		}
-		if !ln.valid {
-			if victim == -1 || c.lines[base+victim].valid {
-				victim = i
-			}
-			continue
-		}
-		if ln.lastUsed < oldest && (victim == -1 || c.lines[base+victim].valid) {
-			oldest = ln.lastUsed
-			victim = i
-		}
+	if i := c.find(set, t); i >= 0 { // already present (racing fill)
+		c.lru.Touch(set, i)
+		return 0, false
 	}
-	ln := &c.lines[base+victim]
-	if ln.valid {
-		evicted, wasEvicted = ln.tag, true
-		c.stats.Evictions++
+	if c.lru.Len(set) < c.ways {
+		victim := set * c.ways
+		for c.tags[victim] != 0 {
+			victim++
+		}
+		c.tags[victim] = t
+		c.lru.Push(set, victim)
+		return 0, false
 	}
-	ln.tag = la
-	ln.valid = true
-	ln.lastUsed = c.tick
-	return evicted, wasEvicted
+	// The LRU way takes the line and becomes the most recently used.
+	victim := c.lru.LRU(set)
+	evicted = c.tags[victim] >> 1
+	c.stats.Evictions++
+	c.tags[victim] = t
+	c.lru.Touch(set, victim)
+	return evicted, true
 }
 
 // Invalidate drops the line for a if present, returning whether it was.
 func (c *Cache) Invalidate(a vmem.PhysAddr) bool {
 	la := c.LineAddr(a)
-	base := c.setOf(la) * c.ways
-	for i := 0; i < c.ways; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == la {
-			ln.valid = false
-			return true
-		}
+	set := c.setOf(la)
+	i := c.find(set, tagOf(la))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tags[i] = 0
+	c.lru.Remove(set, i)
+	return true
 }
 
 // TrackMiss registers done to run when the line for a is filled. It

@@ -19,6 +19,7 @@ func TestBadGeometryRejected(t *testing.T) {
 		{"non-pow2 line", 1024, 96, 4},
 		{"lines not divisible", 64 * 3, 64, 2},
 		{"non-pow2 sets", 64 * 6, 64, 2},
+		{"smaller than a line", 32, 64, 1},
 	}
 	for _, c := range cases {
 		if _, err := New(c.name, c.total, c.lineSz, c.ways); err == nil {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -9,9 +10,10 @@ import (
 	"repro/internal/vmem"
 )
 
-// refCache is a copy of the struct-of-lines tag store, kept as the
-// reference any other tag layout must match way for way. Its MSHRs are
-// a plain map of waiter lists, not the slot index Cache uses.
+// refCache is a copy of the struct-of-lines tag store with per-line LRU
+// stamps, kept as the reference the packed tags and recency lists must
+// match way for way. Its MSHRs are a plain map of waiter lists, not the
+// slot index Cache uses.
 type refCache struct {
 	ways, sets int
 	lineShift  uint
@@ -143,9 +145,13 @@ func (c *refCache) CompleteMiss(a vmem.PhysAddr, cycle uint64) {
 
 // cacheProgram runs one random program of Lookup, Fill, Invalidate,
 // Contains, TrackMiss and CompleteMiss calls on both the reference and
-// c, failing on the first return value, fired waiter, Stats snapshot or
-// way that differs.
-func cacheProgram(t *testing.T, seed int64, totalBytes, lineSize, ways int) {
+// c, failing on the first return value, fired waiter, Stats snapshot,
+// way or recency order that differs. With racing set, the program fills
+// lines the way the page-walk cache does: every Lookup miss queues a
+// fill of its line, and the fills land later in random order, so two
+// misses on one line fill it twice. It returns how many fills found
+// their line already present.
+func cacheProgram(t *testing.T, seed int64, totalBytes, lineSize, ways int, racing bool) (racingFills int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	c := MustNew("oracle", totalBytes, lineSize, ways)
@@ -154,16 +160,34 @@ func cacheProgram(t *testing.T, seed int64, totalBytes, lineSize, ways int) {
 	// fired logs each waiter as it runs: its TrackMiss step and cycle.
 	type fired struct{ step, cycle uint64 }
 	var got, want []fired
+	var pending []vmem.PhysAddr // racing: missed lines waiting to fill
+	var order []int
 	for step := 0; step < 20000; step++ {
 		// Lines in a window twice the capacity, at random offsets
 		// within the line.
 		a := vmem.PhysAddr(rng.Intn(2*lines+3)*lineSize + rng.Intn(lineSize))
 		switch op := rng.Intn(100); {
 		case op < 35:
-			if g, w := c.Lookup(a), ref.Lookup(a); g != w {
+			g, w := c.Lookup(a), ref.Lookup(a)
+			if g != w {
 				t.Fatalf("step %d: Lookup(%v) = %v; reference %v", step, a, g, w)
 			}
+			if racing && !g {
+				pending = append(pending, a)
+			}
 		case op < 60:
+			if racing {
+				if len(pending) == 0 {
+					continue
+				}
+				k := rng.Intn(len(pending))
+				a = pending[k]
+				pending[k] = pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+			}
+			if ref.Contains(a) {
+				racingFills++
+			}
 			ge, gok := c.Fill(a)
 			we, wok := ref.Fill(a)
 			if ge != we || gok != wok {
@@ -199,17 +223,40 @@ func cacheProgram(t *testing.T, seed int64, totalBytes, lineSize, ways int) {
 			t.Fatalf("step %d: InFlight = %d; reference %d", step, g, w)
 		}
 		for i, ln := range ref.lines {
-			tag, valid, lastUsed := way(c, i)
-			if valid != ln.valid || valid && (tag != ln.tag || lastUsed != ln.lastUsed) {
-				t.Fatalf("step %d: way %d = %#x valid=%v used=%d; reference %+v", step, i, tag, valid, lastUsed, ln)
+			tag, valid := c.tags[i]>>1, c.tags[i] != 0
+			if valid != ln.valid || valid && tag != ln.tag {
+				t.Fatalf("step %d: way %d = %#x valid=%v; reference %+v", step, i, tag, valid, ln)
+			}
+		}
+		for s := 0; s < ref.sets; s++ {
+			order = c.lru.Order(order[:0], s)
+			if want := ref.order(s); !slices.Equal(order, want) {
+				t.Fatalf("step %d: set %d recency %v; reference stamps order %v", step, s, order, want)
 			}
 		}
 	}
+	return racingFills
+}
+
+// order returns set s's valid ways from the oldest LRU stamp to the
+// newest.
+func (c *refCache) order(s int) []int {
+	var ws []int
+	for i := s * c.ways; i < (s+1)*c.ways; i++ {
+		if c.lines[i].valid {
+			ws = append(ws, i)
+		}
+	}
+	slices.SortFunc(ws, func(a, b int) int { return cmp.Compare(c.lines[a].lastUsed, c.lines[b].lastUsed) })
+	return ws
 }
 
 // TestCacheMatchesStructOfLinesReference checks the cache against the
-// struct-of-lines reference on direct-mapped, 4-way and 16-way
-// geometries.
+// struct-of-lines reference on direct-mapped, 4-way, 16-way and fully
+// associative geometries: after every step each way must hold the same
+// line and each set's recency list must order its valid ways as the
+// reference's stamps do. Each geometry also runs a racing-fill program,
+// which must fill lines already present.
 func TestCacheMatchesStructOfLinesReference(t *testing.T) {
 	geoms := []struct {
 		name                  string
@@ -218,18 +265,18 @@ func TestCacheMatchesStructOfLinesReference(t *testing.T) {
 		{"1-way", 64 * 64, 64, 1},
 		{"4-way", 32 * 128, 128, 4},
 		{"16-way", 64 * 128, 128, 16},
+		{"fully-associative", 32 * 128, 128, 32},
 	}
 	for _, g := range geoms {
 		t.Run(g.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
-				cacheProgram(t, seed, g.total, g.lineSize, g.ways)
+				cacheProgram(t, seed, g.total, g.lineSize, g.ways, false)
+			}
+			if n := cacheProgram(t, 5, g.total, g.lineSize, g.ways, true); n < 100 {
+				t.Fatalf("racing program filled %d lines already present, want at least 100", n)
+			} else {
+				t.Logf("racing fills: %d", n)
 			}
 		})
 	}
-}
-
-// way returns way i's line address, valid bit and LRU stamp.
-func way(c *Cache, i int) (tag uint64, valid bool, lastUsed uint64) {
-	ln := &c.lines[i]
-	return ln.tag, ln.valid, ln.lastUsed
 }

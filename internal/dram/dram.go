@@ -60,11 +60,8 @@ type bank struct {
 	busyUntil uint64
 	// queue holds the bank's waiting requests in arrival order, so the
 	// first row hit is the oldest one.
-	queue []Request
-	// retryQueued dedups wake-up events: at most one pending dispatch
-	// retry per bank, or queue pressure makes event counts explode.
-	retryQueued bool
-	retryFn     event.Func // bound to this bank and its owning DRAM
+	queue   []Request
+	retryFn event.Func // bound to this bank and its owning DRAM
 }
 
 type channel struct {
@@ -72,7 +69,15 @@ type channel struct {
 	// waiting has bit b set while bank b's queue is not empty.
 	// Dispatch walks the set bits, so a bank with nothing queued costs
 	// it nothing.
-	waiting    []uint64
+	waiting []uint64
+	// armed has bit b set while bank b has a dispatch retry pending at
+	// its busyUntil. It dedups wake-up events: at most one pending
+	// retry per bank, or queue pressure makes event counts explode.
+	armed []uint64
+	// armedFrom is a lower bound on the busyUntil of every armed bank:
+	// lowered when a bank is armed, recomputed exactly after a walk
+	// that visits armed banks. Before it, every armed bank is busy.
+	armedFrom  uint64
 	queued     int // requests waiting across all banks
 	busFree    uint64
 	dispatchFn event.Func // bound to this channel and its owning DRAM
@@ -102,6 +107,7 @@ func New(cfg config.Config, q *event.Queue) *DRAM {
 		ch := &d.channels[i]
 		ch.banks = make([]bank, cfg.DRAMBanksPerChannel)
 		ch.waiting = make([]uint64, (cfg.DRAMBanksPerChannel+63)/64)
+		ch.armed = make([]uint64, len(ch.waiting))
 		for b := range ch.banks {
 			ch.banks[b].openRow = noOpenRow
 		}
@@ -117,9 +123,9 @@ func (d *DRAM) bindCallbacks() {
 		ch, ci := &d.channels[i], i
 		ch.dispatchFn = func(cycle uint64) { d.dispatch(ci, cycle) }
 		for b := range ch.banks {
-			bp := &ch.banks[b]
-			bp.retryFn = func(cycle uint64) {
-				bp.retryQueued = false
+			wi, bit := b/64, uint64(1)<<(b%64)
+			ch.banks[b].retryFn = func(cycle uint64) {
+				ch.armed[wi] &^= bit
 				d.dispatch(ci, cycle)
 			}
 		}
@@ -149,10 +155,13 @@ func (d *DRAM) Clone(q *event.Queue) *DRAM {
 		nch.busFree = ch.busFree
 		nch.banks = make([]bank, len(ch.banks))
 		nch.waiting = make([]uint64, len(ch.waiting))
-		for b := range ch.banks {
-			if ch.banks[b].retryQueued {
-				panic(fmt.Sprintf("dram: Clone with retry pending on channel %d bank %d", i, b))
+		nch.armed = make([]uint64, len(ch.armed))
+		for wi, word := range ch.armed {
+			if word != 0 {
+				panic(fmt.Sprintf("dram: Clone with retry pending on channel %d bank %d", i, wi*64+bits.TrailingZeros64(word)))
 			}
+		}
+		for b := range ch.banks {
 			nch.banks[b].openRow = ch.banks[b].openRow
 			nch.banks[b].busyUntil = ch.banks[b].busyUntil
 		}
@@ -219,23 +228,31 @@ func (d *DRAM) Enqueue(now uint64, r Request) {
 // dispatch applies FR-FCFS on one channel: for every bank with queued
 // requests that is free, in ascending bank order, pick the oldest
 // row-hit request for that bank if one exists, otherwise the oldest
-// request for that bank. Most wake-ups at a bank's ready cycle find the
-// channel empty and return at once.
+// request for that bank. A busy bank gets one retry armed at the cycle
+// it frees. Before the channel's armedFrom every armed bank is still
+// busy with its retry pending, so visiting it would change nothing, and
+// the walk skips the armed banks.
 func (d *DRAM) dispatch(chanIdx int, now uint64) {
 	ch := &d.channels[chanIdx]
 	if ch.queued == 0 {
 		return
 	}
+	full := now >= ch.armedFrom
 	// Servicing a bank schedules events but enqueues nothing, so only
 	// the bank being visited can leave the waiting set during the walk.
 	for wi, word := range ch.waiting {
+		if !full {
+			word &^= ch.armed[wi]
+		}
 		for ; word != 0; word &= word - 1 {
+			bit := word & -word
 			bankIdx := wi*64 + bits.TrailingZeros64(word)
 			b := &ch.banks[bankIdx]
 			if b.busyUntil > now {
 				// Retry once the bank frees.
-				if !b.retryQueued {
-					b.retryQueued = true
+				if ch.armed[wi]&bit == 0 {
+					ch.armed[wi] |= bit
+					ch.armedFrom = min(ch.armedFrom, b.busyUntil)
 					d.q.Schedule(b.busyUntil, b.retryFn)
 				}
 				continue
@@ -246,12 +263,27 @@ func (d *DRAM) dispatch(chanIdx int, now uint64) {
 			b.queue[len(b.queue)-1] = Request{} // release the callback reference
 			b.queue = b.queue[:len(b.queue)-1]
 			if len(b.queue) == 0 {
-				ch.waiting[wi] &^= word & -word
+				ch.waiting[wi] &^= bit
 			}
 			ch.queued--
 			d.service(chanIdx, bankIdx, r, now)
 		}
 	}
+	if full {
+		ch.armedFrom = ch.earliestArmed()
+	}
+}
+
+// earliestArmed returns the least busyUntil of the channel's armed
+// banks, or the largest cycle when none is armed.
+func (ch *channel) earliestArmed() uint64 {
+	from := ^uint64(0)
+	for wi, word := range ch.armed {
+		for ; word != 0; word &= word - 1 {
+			from = min(from, ch.banks[wi*64+bits.TrailingZeros64(word)].busyUntil)
+		}
+	}
+	return from
 }
 
 // pick returns the index of the FR-FCFS choice in a bank's non-empty
@@ -285,8 +317,9 @@ func (d *DRAM) service(chanIdx, bankIdx int, r Request, now uint64) {
 	d.stats.Accesses++
 	d.stats.ChannelAccesses[chanIdx]++
 
-	// The bank is occupied for the (short) cycle time; the requester
-	// observes the full access latency. Banks pipeline behind each other.
+	// The bank is occupied for the (short) busy time and frees at
+	// busyUntil; the requester observes the full access latency. Banks
+	// pipeline behind each other.
 	ready := now + lat // data ready at the bank
 	burst := uint64(d.cfg.DRAMBusCycles)
 	start := max64(ready, ch.busFree)
@@ -300,7 +333,9 @@ func (d *DRAM) service(chanIdx, bankIdx int, r Request, now uint64) {
 	} else {
 		d.q.Schedule(done, noop)
 	}
-	// The bank frees at `ready`; try to dispatch more work then.
+	// The data is ready at the bank long after the bank frees: wake the
+	// channel then to dispatch whatever is queued by that cycle. A
+	// request that finds the bank busy before then arms its own retry.
 	d.q.Schedule(ready, ch.dispatchFn)
 }
 

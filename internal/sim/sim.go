@@ -45,8 +45,10 @@ type Options struct {
 	// applications start (§6.4 stress tests). Zero disables.
 	FragIndex     float64
 	FragOccupancy float64
-	// DeallocFraction frees this fraction of each app's buffer partway
-	// through execution, exercising CAC. Zero disables.
+	// DeallocFraction frees this fraction of a scratch buffer of whole
+	// 2MB regions partway through each app's execution, splintering the
+	// coalesced regions it frees from. CAC compacts only when free
+	// destination slots exist, which takes FragIndex too. Zero disables.
 	DeallocFraction float64
 	// TraceLimit, when positive, records up to this many memory-management
 	// events (see internal/trace) into Results.Trace.
@@ -718,9 +720,12 @@ func (s *Simulator) pollDealloc(c uint64) {
 		app.deallocDone = true
 		ws := app.spec.ScaledWorkingSet(s.cfg)
 		// Allocate a scratch buffer of whole 2MB regions (so they
-		// coalesce under Mosaic), then free DeallocFraction of it —
-		// exercising CAC's splinter/compact/emergency paths without
-		// touching the pages the access streams still use.
+		// coalesce under Mosaic), then free DeallocFraction of it,
+		// splintering the regions it frees from without touching the
+		// pages the access streams still use. The app's other frames
+		// are mostly full coalesced regions too, so CAC finds a
+		// compaction destination only in frames FragIndex left partly
+		// free.
 		scratch := vmem.AlignUp(ws/2, vmem.LargePageSize)
 		last := app.buffers[len(app.buffers)-1]
 		scratchVA := vmem.VirtAddr(vmem.AlignUp(uint64(last.va)+last.size, vmem.LargePageSize)) + vmem.LargePageSize

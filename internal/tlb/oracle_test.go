@@ -1,7 +1,9 @@
 package tlb
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vmem"
@@ -134,7 +136,9 @@ func (e *refEntrySet) occupancy() int {
 }
 
 // sameWays checks that both arrays hold the same valid translation in
-// every way, so any divergence in victim choice shows up at once.
+// every way and that each set's recency list orders its valid ways as
+// the reference's LRU stamps do, so any divergence in victim choice
+// shows up at once.
 func sameWays(t *testing.T, step int, ref *refEntrySet, e *entrySet) {
 	t.Helper()
 	for i, w := range ref.arr {
@@ -142,8 +146,22 @@ func sameWays(t *testing.T, step int, ref *refEntrySet, e *entrySet) {
 		if w.valid != (tg&validTag != 0) {
 			t.Fatalf("step %d: way %d valid=%v, packed tag %#x", step, i, w.valid, tg)
 		}
-		if w.valid && (tg != tagOf(w.key.ASID, w.key.VPN) || e.meta[i].frame != w.frame || e.meta[i].lastUsed != w.lastUsed) {
-			t.Fatalf("step %d: way %d holds %+v, packed %#x/%+v", step, i, w, tg, e.meta[i])
+		if w.valid && (tg != tagOf(w.key.ASID, w.key.VPN) || e.frames[i] != w.frame) {
+			t.Fatalf("step %d: way %d holds %+v, packed %#x/%v", step, i, w, tg, e.frames[i])
+		}
+	}
+	var got, want []int
+	for s := 0; s < ref.sets; s++ {
+		got = e.lru.Order(got[:0], s)
+		want = want[:0]
+		for i := s * ref.ways; i < (s+1)*ref.ways; i++ {
+			if ref.arr[i].valid {
+				want = append(want, i)
+			}
+		}
+		slices.SortFunc(want, func(a, b int) int { return cmp.Compare(ref.arr[a].lastUsed, ref.arr[b].lastUsed) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: set %d recency %v; reference stamps order %v", step, s, got, want)
 		}
 	}
 }
@@ -273,7 +291,9 @@ func entrySetProgram(t *testing.T, seed int64, entries, ways, flushDiv int) (n, 
 // direct-mapped, set-associative and fully associative geometries
 // (including the L1 and L2 large-page arrays). Every returned frame,
 // hit, eviction and flush count and the occupancy must agree, and after
-// every step each way must hold the same translation. Each geometry runs
+// every step each way must hold the same translation and each set's
+// recency list must order its ways as the reference's LRU stamps do.
+// Each geometry runs
 // two programs: one at the full flush rate, which must drop entries in
 // many per-ASID and full flushes, and one that flushes entries/4 times
 // less often, so even the 256-entry array fills up and must replace. In

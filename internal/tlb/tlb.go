@@ -13,6 +13,7 @@ package tlb
 import (
 	"fmt"
 
+	"repro/internal/lru"
 	"repro/internal/slotidx"
 	"repro/internal/vmem"
 )
@@ -76,23 +77,6 @@ const validTag = 1 << 63
 // tagOf packs a translation's key into its tags word.
 func tagOf(asid vmem.ASID, vpn uint64) uint64 { return vpn<<16 | uint64(asid) | validTag }
 
-// wayMeta is the payload of one way: its frame, its LRU timestamp and
-// its links in the set's recency list.
-type wayMeta struct {
-	frame      vmem.PhysAddr
-	lastUsed   uint64
-	prev, next int32 // neighbouring ways in the recency list; -1 ends it
-}
-
-// recency lists one set's valid ways from least to most recently used.
-// Every lookup and insert stamps its way with a fresh tick, so the list
-// order is the order of lastUsed and its LRU end is the way with the
-// oldest stamp.
-type recency struct {
-	lru, mru int32 // -1 when the set holds no valid way
-	valid    int32
-}
-
 // entrySet is one set-associative array with LRU replacement.
 // sets == 1 makes it fully associative. An index from packed tag to way
 // answers lookups, probes and single-entry flushes with one hash probe
@@ -100,28 +84,23 @@ type recency struct {
 // replacement victim, so no operation but a per-ASID or full flush scans
 // the ways.
 type entrySet struct {
-	sets  int
-	ways  int
-	tags  []uint64
-	meta  []wayMeta
-	lists []recency
-	idx   slotidx.Index // valid tag -> way
-	tick  uint64
+	sets   int
+	ways   int
+	tags   []uint64
+	frames []vmem.PhysAddr
+	lru    lru.Lists     // each set's valid ways, least recently used first
+	idx    slotidx.Index // valid tag -> way
 }
 
 func newEntrySet(entries, ways int) (*entrySet, error) {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("tlb: bad geometry entries=%d ways=%d", entries, ways)
 	}
-	e := &entrySet{
+	return &entrySet{
 		sets: entries / ways, ways: ways,
-		tags: make([]uint64, entries), meta: make([]wayMeta, entries),
-		lists: make([]recency, entries/ways),
-	}
-	for i := range e.lists {
-		e.lists[i] = recency{lru: -1, mru: -1}
-	}
-	return e, nil
+		tags: make([]uint64, entries), frames: make([]vmem.PhysAddr, entries),
+		lru: lru.New(entries/ways, ways),
+	}, nil
 }
 
 // set returns the set tag t maps to.
@@ -143,53 +122,13 @@ func (e *entrySet) find(t uint64) int {
 	return int(i)
 }
 
-// unlink removes way i from its set's recency list.
-func (e *entrySet) unlink(l *recency, i int32) {
-	m := &e.meta[i]
-	if m.prev >= 0 {
-		e.meta[m.prev].next = m.next
-	} else {
-		l.lru = m.next
-	}
-	if m.next >= 0 {
-		e.meta[m.next].prev = m.prev
-	} else {
-		l.mru = m.prev
-	}
-}
-
-// pushMRU appends way i at the most recently used end of its set's list.
-func (e *entrySet) pushMRU(l *recency, i int32) {
-	m := &e.meta[i]
-	m.prev, m.next = l.mru, -1
-	if l.mru >= 0 {
-		e.meta[l.mru].next = i
-	} else {
-		l.lru = i
-	}
-	l.mru = i
-}
-
-// touch stamps valid way i with the current tick and moves it to the
-// most recently used end of its set's list.
-func (e *entrySet) touch(i int) {
-	e.meta[i].lastUsed = e.tick
-	if e.meta[i].next < 0 {
-		return // already the most recently used
-	}
-	l := &e.lists[i/e.ways]
-	e.unlink(l, int32(i))
-	e.pushMRU(l, int32(i))
-}
-
 func (e *entrySet) lookup(t uint64) (vmem.PhysAddr, bool) {
-	e.tick++
 	i := e.find(t)
 	if i < 0 {
 		return 0, false
 	}
-	e.touch(i)
-	return e.meta[i].frame, true
+	e.lru.Touch(i/e.ways, i)
+	return e.frames[i], true
 }
 
 func (e *entrySet) probe(t uint64) bool { return e.find(t) >= 0 }
@@ -198,31 +137,29 @@ func (e *entrySet) probe(t uint64) bool { return e.find(t) >= 0 }
 // different key was displaced to make room. The victim is the first
 // invalid way of the set, else its least recently used way.
 func (e *entrySet) insert(t uint64, frame vmem.PhysAddr) (evicted bool) {
-	e.tick++
 	if i := e.find(t); i >= 0 {
-		e.meta[i].frame = frame
-		e.touch(i)
+		e.frames[i] = frame
+		e.lru.Touch(i/e.ways, i)
 		return false
 	}
 	set := e.set(t)
-	l := &e.lists[set]
 	var victim int
-	if int(l.valid) < e.ways {
+	if e.lru.Len(set) < e.ways {
 		// Only a set still warming up or thinned by flushes scans.
 		victim = set * e.ways
 		for e.tags[victim]&validTag != 0 {
 			victim++
 		}
-		l.valid++
+		e.lru.Push(set, victim)
 	} else {
-		victim = int(l.lru)
+		// The LRU way takes the entry and becomes the most recently used.
+		victim = e.lru.LRU(set)
 		e.idx.Take(e.tags[victim])
-		e.unlink(l, l.lru)
+		e.lru.Touch(set, victim)
 		evicted = true
 	}
 	e.tags[victim] = t
-	e.meta[victim].frame, e.meta[victim].lastUsed = frame, e.tick
-	e.pushMRU(l, int32(victim))
+	e.frames[victim] = frame
 	e.idx.Put(t, int32(victim))
 	return evicted
 }
@@ -230,9 +167,7 @@ func (e *entrySet) insert(t uint64, frame vmem.PhysAddr) (evicted bool) {
 // drop invalidates valid way i, which the caller has already taken out
 // of the index.
 func (e *entrySet) drop(i int) {
-	l := &e.lists[i/e.ways]
-	e.unlink(l, int32(i))
-	l.valid--
+	e.lru.Remove(i/e.ways, i)
 	e.tags[i] = 0
 }
 
@@ -323,7 +258,7 @@ func MustNew(cfg Config) *TLB {
 // Name returns the diagnostic name.
 func (t *TLB) Name() string { return t.name }
 
-// Clone returns a deep copy of the TLB: entry arrays, LRU ticks, and stats
+// Clone returns a deep copy of the TLB: entry arrays, LRU lists, and stats
 // are all duplicated, so the clone and the receiver may diverge freely.
 // Forked simulators must not share TLB state — every lookup mutates LRU
 // recency, so aliasing would leak recency across forks.
@@ -344,8 +279,8 @@ func (t *TLB) RestoreStats(s Stats) { t.stats = s }
 func (e *entrySet) clone() *entrySet {
 	ne := *e
 	ne.tags = append([]uint64(nil), e.tags...)
-	ne.meta = append([]wayMeta(nil), e.meta...)
-	ne.lists = append([]recency(nil), e.lists...)
+	ne.frames = append([]vmem.PhysAddr(nil), e.frames...)
+	ne.lru = e.lru.Clone()
 	ne.idx = slotidx.Index{}
 	for i, tg := range e.tags {
 		if tg&validTag != 0 {
