@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -49,15 +50,28 @@ func allFigures(h *Harness) metrics.Report {
 }
 
 // TestAllFiguresGolden pins the exported bytes of every figure, run in
-// sequence on one harness, against testdata/all-figures.json.
-// Regenerate intentionally with
+// sequence on one harness, against testdata/all-figures.json, and
+// checks that the harness simulated each distinct (workload, policy,
+// digest) key of the report exactly once. Regenerate intentionally with
 //
 //	go test ./internal/harness -run TestAllFiguresGolden -update
 func TestAllFiguresGolden(t *testing.T) {
 	h := tiny(t)
 	h.AppNames = []string{"CONS", "NW"}
+	var progress strings.Builder
+	h.Progress = &progress
+	rep := allFigures(h)
+	keys := map[[3]string]bool{}
+	for _, fig := range rep.Figures {
+		for _, r := range fig.Runs {
+			keys[[3]string{r.Workload, r.Policy, r.ConfigDigest}] = true
+		}
+	}
+	if ran := strings.Count(progress.String(), "ran "); ran != len(keys) {
+		t.Errorf("simulated %d cells for %d distinct keys", ran, len(keys))
+	}
 	var got bytes.Buffer
-	if err := allFigures(h).WriteJSON(&got); err != nil {
+	if err := rep.WriteJSON(&got); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "all-figures.json")

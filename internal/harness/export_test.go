@@ -83,12 +83,12 @@ func TestCollectFigureCapturesRuns(t *testing.T) {
 		t.Error("no record carries a weighted speedup")
 	}
 
-	// A second collected figure over the same experiment reuses the alone
-	// cache: its records must not include alone runs again.
+	// A second collected figure over the same experiment reads the alone
+	// runs from the memo: its records must not include them again.
 	fig2 := h.CollectFigure("fig8-again", func() metrics.Table { return h.Fig8(1).Table })
 	for _, r := range fig2.Runs {
 		if strings.HasPrefix(r.Workload, "alone-") {
-			t.Errorf("cached alone run %s re-recorded in a later figure", r.Workload)
+			t.Errorf("memoized alone run %s re-recorded in a later figure", r.Workload)
 		}
 	}
 }

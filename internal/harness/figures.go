@@ -2,20 +2,18 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Every experiment below follows the same three-step shape: enumerate the
-// full set of independent simulations up front, execute them across the
-// worker pool with forEach (each task writing only its own result slot),
-// then assemble means and tables sequentially in enumeration order. All
-// cross-run arithmetic happens in the assembly step, which is what keeps
-// the output byte-identical for any worker count.
+// Every experiment below follows the same shape: plan every simulation
+// up front, run the plan with execute, then reduce the results in plan
+// order. All cross-run arithmetic happens in the reduction, which is
+// what keeps the output byte-identical for any worker count.
 
 // ---------------------------------------------------------------- Fig. 3
 
@@ -32,25 +30,25 @@ type Fig3Result struct {
 // Fig3 regenerates Figure 3.
 func (h *Harness) Fig3() Fig3Result {
 	suite := h.suite()
-	type fig3Out struct{ n4, n2 float64 }
-	outs := make([]fig3Out, len(suite))
-	h.forEach(len(suite), func(i int) {
-		spec := suite[i]
-		wl := workload.Workload{Name: spec.Name, Apps: []workload.Spec{spec}}
-		ideal := h.mustRun(wl, core.IdealTLB, noPaging, nil).TotalIPC()
-		outs[i].n4 = h.mustRun(wl, core.GPUMMU4K, noPaging, nil).TotalIPC() / ideal
-		outs[i].n2 = h.mustRun(wl, core.GPUMMU2M, noPaging, nil).TotalIPC() / ideal
-	})
+	var p plan
+	for _, spec := range suite {
+		for _, pol := range []core.Policy{core.IdealTLB, core.GPUMMU4K, core.GPUMMU2M} {
+			p.add(h.cell(single(spec.Name, spec), noPaging(h.Cfg), pol))
+		}
+	}
+	runs, _ := h.execute(p)
 
 	res := Fig3Result{Table: metrics.Table{
 		Title:   "Fig. 3: GPU-MMU 4KB vs 2MB, no demand paging, normalized to Ideal TLB",
 		Columns: []string{"app", "4KB/ideal", "2MB/ideal"},
 	}}
 	for i, spec := range suite {
+		ideal := runs[3*i].TotalIPC()
+		n4, n2 := runs[3*i+1].TotalIPC()/ideal, runs[3*i+2].TotalIPC()/ideal
 		res.Apps = append(res.Apps, spec.Name)
-		res.Norm4K = append(res.Norm4K, outs[i].n4)
-		res.Norm2M = append(res.Norm2M, outs[i].n2)
-		res.Table.AddRowF(spec.Name, outs[i].n4, outs[i].n2)
+		res.Norm4K = append(res.Norm4K, n4)
+		res.Norm2M = append(res.Norm2M, n2)
+		res.Table.AddRowF(spec.Name, n4, n2)
 	}
 	res.Mean4K = metrics.Mean(res.Norm4K)
 	res.Mean2M = metrics.Mean(res.Norm2M)
@@ -73,24 +71,17 @@ func (h *Harness) Fig4(levels ...int) Fig4Result {
 	if len(levels) == 0 {
 		levels = []int{1, 2, 3, 4, 5}
 	}
-	type fig4Item struct {
-		level int // index into levels
-		wl    workload.Workload
-	}
-	var items []fig4Item
+	byLevel := make([][]workload.Workload, len(levels))
+	var p plan
 	for li, n := range levels {
-		for _, wl := range h.homogeneous(n) {
-			items = append(items, fig4Item{li, wl})
+		byLevel[li] = h.homogeneous(n)
+		for _, wl := range byLevel[li] {
+			p.add(h.cell(wl, noPaging(h.Cfg), core.GPUMMU4K))
+			p.add(h.cell(wl, h.Cfg, core.GPUMMU4K))
+			p.add(h.cell(wl, h.Cfg, core.GPUMMU2M))
 		}
 	}
-	type fig4Out struct{ p4, p2 float64 }
-	outs := make([]fig4Out, len(items))
-	h.forEach(len(items), func(i int) {
-		wl := items[i].wl
-		base := h.mustRun(wl, core.GPUMMU4K, noPaging, nil).TotalIPC()
-		outs[i].p4 = h.mustRun(wl, core.GPUMMU4K, nil, nil).TotalIPC() / base
-		outs[i].p2 = h.mustRun(wl, core.GPUMMU2M, nil, nil).TotalIPC() / base
-	})
+	runs, _ := h.execute(p)
 
 	res := Fig4Result{Levels: levels, Table: metrics.Table{
 		Title:   "Fig. 4: demand paging impact vs concurrency (normalized to 4KB, no paging)",
@@ -98,12 +89,11 @@ func (h *Harness) Fig4(levels ...int) Fig4Result {
 	}}
 	for li, n := range levels {
 		var p4, p2 []float64
-		for i := range items {
-			if items[i].level != li {
-				continue
-			}
-			p4 = append(p4, outs[i].p4)
-			p2 = append(p2, outs[i].p2)
+		for range byLevel[li] {
+			base := runs[0].TotalIPC()
+			p4 = append(p4, runs[1].TotalIPC()/base)
+			p2 = append(p2, runs[2].TotalIPC()/base)
+			runs = runs[3:]
 		}
 		m4, m2 := metrics.Mean(p4), metrics.Mean(p2)
 		res.Paging4K = append(res.Paging4K, m4)
@@ -129,21 +119,19 @@ type BloatResult struct {
 // MemoryBloat2MB regenerates the §3.2 bloat numbers.
 func (h *Harness) MemoryBloat2MB() BloatResult {
 	suite := h.suite()
-	type bloatOut struct{ b2, bm float64 }
-	outs := make([]bloatOut, len(suite))
-	h.forEach(len(suite), func(i int) {
-		spec := suite[i]
-		wl := workload.Workload{Name: spec.Name, Apps: []workload.Spec{spec}}
-		outs[i].b2 = h.mustRun(wl, core.GPUMMU2M, noPaging, nil).Apps[0].BloatPct
-		outs[i].bm = h.mustRun(wl, core.Mosaic, noPaging, nil).Apps[0].BloatPct
-	})
+	var p plan
+	for _, spec := range suite {
+		p.add(h.cell(single(spec.Name, spec), noPaging(h.Cfg), core.GPUMMU2M))
+		p.add(h.cell(single(spec.Name, spec), noPaging(h.Cfg), core.Mosaic))
+	}
+	runs, _ := h.execute(p)
 
 	res := BloatResult{Table: metrics.Table{
 		Title:   "§3.2: memory bloat of 2MB-only management (and Mosaic) vs 4KB needs",
 		Columns: []string{"app", "2MB bloat %", "Mosaic bloat %"},
 	}}
 	for i, spec := range suite {
-		b2, bm := outs[i].b2, outs[i].bm
+		b2, bm := runs[2*i].Apps[0].BloatPct, runs[2*i+1].Apps[0].BloatPct
 		res.Apps = append(res.Apps, spec.Name)
 		res.Bloat2M = append(res.Bloat2M, b2)
 		res.BloatMos = append(res.BloatMos, bm)
@@ -185,55 +173,48 @@ type WorkloadDetail struct {
 	TLBSensitive                               bool
 }
 
+// speedupPolicies are the three managers of every weighted-speedup
+// comparison, in reduction order.
+var speedupPolicies = []core.Policy{core.GPUMMU4K, core.Mosaic, core.IdealTLB}
+
+// planSpeedups adds one weighted-speedup cell per speedupPolicies entry
+// for each workload.
+func (h *Harness) planSpeedups(p *plan, wls []workload.Workload) {
+	for _, wl := range wls {
+		for _, pol := range speedupPolicies {
+			p.addWS(h.cell(wl, h.Cfg, pol), h.Cfg)
+		}
+	}
+}
+
 func (h *Harness) speedupStudy(title string, workloadsByLevel map[int][]workload.Workload, levels []int) SpeedupResult {
-	type speedupItem struct {
-		level int // index into levels
-		wl    workload.Workload
+	var p plan
+	for _, n := range levels {
+		h.planSpeedups(&p, workloadsByLevel[n])
 	}
-	var items []speedupItem
-	for li, n := range levels {
-		for _, wl := range workloadsByLevel[n] {
-			items = append(items, speedupItem{li, wl})
-		}
-	}
-	outs := make([]WorkloadDetail, len(items))
-	h.forEach(len(items), func(i int) {
-		wl := items[i].wl
-		rg := h.mustRun(wl, core.GPUMMU4K, nil, nil)
-		rm := h.mustRun(wl, core.Mosaic, nil, nil)
-		ri := h.mustRun(wl, core.IdealTLB, nil, nil)
-		detail := WorkloadDetail{
-			Name:   wl.Name,
-			Level:  levels[items[i].level],
-			GPUMMU: h.weightedSpeedup(rg, wl, nil),
-			Mosaic: h.weightedSpeedup(rm, wl, nil),
-			Ideal:  h.weightedSpeedup(ri, wl, nil),
-		}
-		for k := range rg.Apps {
-			detail.AppIPCsGPUMMU = append(detail.AppIPCsGPUMMU, rg.Apps[k].IPC)
-			detail.AppIPCsMosaic = append(detail.AppIPCsMosaic, rm.Apps[k].IPC)
-			detail.AppIPCsIdeal = append(detail.AppIPCsIdeal, ri.Apps[k].IPC)
-		}
-		for _, a := range wl.Apps {
-			if a.TLBSensitive() {
-				detail.TLBSensitive = true
-			}
-		}
-		outs[i] = detail
-	})
+	runs, ws := h.execute(p)
 
 	res := SpeedupResult{Levels: levels, Table: metrics.Table{
 		Title:   title,
 		Columns: []string{"apps", "GPU-MMU", "Mosaic", "Ideal-TLB"},
 	}}
 	var improvements, shortfalls []float64
-	for li, n := range levels {
+	for _, n := range levels {
 		var g, m, ideal []float64
-		for k := range items {
-			if items[k].level != li {
-				continue
+		for _, wl := range workloadsByLevel[n] {
+			rg, rm, ri := runs[0], runs[1], runs[2]
+			d := WorkloadDetail{Name: wl.Name, Level: n, GPUMMU: ws[0], Mosaic: ws[1], Ideal: ws[2]}
+			runs, ws = runs[3:], ws[3:]
+			for k := range rg.Apps {
+				d.AppIPCsGPUMMU = append(d.AppIPCsGPUMMU, rg.Apps[k].IPC)
+				d.AppIPCsMosaic = append(d.AppIPCsMosaic, rm.Apps[k].IPC)
+				d.AppIPCsIdeal = append(d.AppIPCsIdeal, ri.Apps[k].IPC)
 			}
-			d := outs[k]
+			for _, a := range wl.Apps {
+				if a.TLBSensitive() {
+					d.TLBSensitive = true
+				}
+			}
 			g = append(g, d.GPUMMU)
 			m = append(m, d.Mosaic)
 			ideal = append(ideal, d.Ideal)
@@ -348,14 +329,9 @@ func (h *Harness) Fig10(pairs ...[2]string) Fig10Result {
 		}
 		wls[i] = wl
 	}
-	type fig10Out struct{ wg, wm, wi float64 }
-	outs := make([]fig10Out, len(wls))
-	h.forEach(len(wls), func(i int) {
-		wl := wls[i]
-		outs[i].wg = h.weightedSpeedup(h.mustRun(wl, core.GPUMMU4K, nil, nil), wl, nil)
-		outs[i].wm = h.weightedSpeedup(h.mustRun(wl, core.Mosaic, nil, nil), wl, nil)
-		outs[i].wi = h.weightedSpeedup(h.mustRun(wl, core.IdealTLB, nil, nil), wl, nil)
-	})
+	var p plan
+	h.planSpeedups(&p, wls)
+	_, ws := h.execute(p)
 
 	res := Fig10Result{Table: metrics.Table{
 		Title:   "Fig. 10: selected two-application workloads (weighted speedup)",
@@ -369,11 +345,12 @@ func (h *Harness) Fig10(pairs ...[2]string) Fig10Result {
 		}
 		res.Pairs = append(res.Pairs, wl.Name)
 		res.Sensitive = append(res.Sensitive, sensitive)
-		res.GPUMMU = append(res.GPUMMU, outs[i].wg)
-		res.Mosaic = append(res.Mosaic, outs[i].wm)
-		res.Ideal = append(res.Ideal, outs[i].wi)
+		wg, wm, wi := ws[3*i], ws[3*i+1], ws[3*i+2]
+		res.GPUMMU = append(res.GPUMMU, wg)
+		res.Mosaic = append(res.Mosaic, wm)
+		res.Ideal = append(res.Ideal, wi)
 		res.Table.AddRow(wl.Name, class,
-			metrics.FormatFloat(outs[i].wg), metrics.FormatFloat(outs[i].wm), metrics.FormatFloat(outs[i].wi))
+			metrics.FormatFloat(wg), metrics.FormatFloat(wm), metrics.FormatFloat(wi))
 	}
 	return res
 }
@@ -421,8 +398,8 @@ func (h *Harness) Fig11(fig9 SpeedupResult) Fig11Result {
 	}
 	for _, level := range fig9.Levels {
 		xs := res.SortedMosaic[level]
-		sortFloats(xs)
-		sortFloats(res.SortedIdeal[level])
+		slices.Sort(xs)
+		slices.Sort(res.SortedIdeal[level])
 		if len(xs) == 0 {
 			continue
 		}
@@ -445,14 +422,6 @@ func (h *Harness) Fig11(fig9 SpeedupResult) Fig11Result {
 	return res
 }
 
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // --------------------------------------------------------------- Fig. 12
 
 // Fig12Result reproduces Figure 12: GPU-MMU with and without demand
@@ -467,35 +436,18 @@ type Fig12Result struct {
 // Fig12 regenerates Figure 12 using 2-application workloads of each class.
 func (h *Harness) Fig12() Fig12Result {
 	classNames := []string{"homogeneous", "heterogeneous"}
-	classes := map[string][]workload.Workload{
-		"homogeneous":   h.homogeneous(2),
-		"heterogeneous": h.heterogeneous(2),
-	}
-	type fig12Item struct {
-		class int // index into classNames
-		wl    workload.Workload
-	}
-	var items []fig12Item
-	for ci, class := range classNames {
-		for _, wl := range classes[class] {
-			items = append(items, fig12Item{ci, wl})
+	classes := [][]workload.Workload{h.homogeneous(2), h.heterogeneous(2)}
+	// Every weighted speedup divides by alone runs with paging on, the
+	// no-paging baseline's included.
+	var p plan
+	for _, wls := range classes {
+		for _, wl := range wls {
+			p.addWS(h.cell(wl, noPaging(h.Cfg), core.GPUMMU4K), h.Cfg)
+			p.addWS(h.cell(wl, h.Cfg, core.GPUMMU4K), h.Cfg)
+			p.addWS(h.cell(wl, h.Cfg, core.Mosaic), h.Cfg)
 		}
 	}
-	type fig12Out struct {
-		gp, mp float64
-		ok     bool
-	}
-	outs := make([]fig12Out, len(items))
-	h.forEach(len(items), func(i int) {
-		wl := items[i].wl
-		base := h.weightedSpeedup(h.mustRun(wl, core.GPUMMU4K, noPaging, nil), wl, nil)
-		if base <= 0 {
-			return
-		}
-		outs[i].gp = h.weightedSpeedup(h.mustRun(wl, core.GPUMMU4K, nil, nil), wl, nil) / base
-		outs[i].mp = h.weightedSpeedup(h.mustRun(wl, core.Mosaic, nil, nil), wl, nil) / base
-		outs[i].ok = true
-	})
+	_, ws := h.execute(p)
 
 	res := Fig12Result{Table: metrics.Table{
 		Title:   "Fig. 12: effect of demand paging (normalized to GPU-MMU without paging)",
@@ -503,12 +455,12 @@ func (h *Harness) Fig12() Fig12Result {
 	}}
 	for ci, class := range classNames {
 		var gp, mp []float64
-		for i := range items {
-			if items[i].class != ci || !outs[i].ok {
-				continue
+		for range classes[ci] {
+			if base := ws[0]; base > 0 {
+				gp = append(gp, ws[1]/base)
+				mp = append(mp, ws[2]/base)
 			}
-			gp = append(gp, outs[i].gp)
-			mp = append(mp, outs[i].mp)
+			ws = ws[3:]
 		}
 		g, m := metrics.Mean(gp), metrics.Mean(mp)
 		res.Classes = append(res.Classes, class)
@@ -535,27 +487,16 @@ func (h *Harness) Fig13(levels ...int) Fig13Result {
 	if len(levels) == 0 {
 		levels = []int{1, 2, 3, 4, 5}
 	}
-	type fig13Item struct {
-		level int
-		wl    workload.Workload
-	}
-	var items []fig13Item
+	byLevel := make([][]workload.Workload, len(levels))
+	var p plan
 	for li, n := range levels {
-		for _, wl := range h.homogeneous(n) {
-			items = append(items, fig13Item{li, wl})
+		byLevel[li] = h.homogeneous(n)
+		for _, wl := range byLevel[li] {
+			p.add(h.cell(wl, h.Cfg, core.GPUMMU4K))
+			p.add(h.cell(wl, h.Cfg, core.Mosaic))
 		}
 	}
-	type fig13Out struct{ g1, g2, m1, m2 float64 }
-	outs := make([]fig13Out, len(items))
-	h.forEach(len(items), func(i int) {
-		wl := items[i].wl
-		rg := h.mustRun(wl, core.GPUMMU4K, nil, nil)
-		rm := h.mustRun(wl, core.Mosaic, nil, nil)
-		outs[i] = fig13Out{
-			g1: rg.L1TLBHitRate(), g2: rg.L2TLBHitRate(),
-			m1: rm.L1TLBHitRate(), m2: rm.L2TLBHitRate(),
-		}
-	})
+	runs, _ := h.execute(p)
 
 	res := Fig13Result{Levels: levels, Table: metrics.Table{
 		Title:   "Fig. 13: TLB hit rates (request granularity)",
@@ -563,14 +504,13 @@ func (h *Harness) Fig13(levels ...int) Fig13Result {
 	}}
 	for li, n := range levels {
 		var g1, g2, m1, m2 []float64
-		for i := range items {
-			if items[i].level != li {
-				continue
-			}
-			g1 = append(g1, outs[i].g1)
-			g2 = append(g2, outs[i].g2)
-			m1 = append(m1, outs[i].m1)
-			m2 = append(m2, outs[i].m2)
+		for range byLevel[li] {
+			rg, rm := runs[0], runs[1]
+			runs = runs[2:]
+			g1 = append(g1, rg.L1TLBHitRate())
+			g2 = append(g2, rg.L2TLBHitRate())
+			m1 = append(m1, rm.L1TLBHitRate())
+			m2 = append(m2, rm.L2TLBHitRate())
 		}
 		res.L1GPUMMU = append(res.L1GPUMMU, metrics.Mean(g1))
 		res.L2GPUMMU = append(res.L2GPUMMU, metrics.Mean(g2))
@@ -593,53 +533,46 @@ type SweepResult struct {
 	Table          metrics.Table
 }
 
-// sweep runs a TLB-geometry sweep at concurrency level n. Way counts are
-// re-clamped after every size mutation so that sweeping an entry count
-// below an associativity cannot produce invalid geometry.
+// sweep runs a TLB-geometry sweep of dimension dim at concurrency level
+// n. Every cell goes through ApplySweepDim, whose way clamp keeps an
+// entry count below an associativity from producing invalid geometry.
 //
-// The grid runs through RunCells, so with SweepWarmup set (and every
-// cell reconfigurable from the base configuration) each (workload,
-// policy) family warms once and forks per cell. The baseline column
-// then reconfigures to the base configuration itself, so every cell's
-// digest chains the same way.
-func (h *Harness) sweep(title string, n int, sizes []int, apply func(*config.Config, int)) SweepResult {
+// With SweepWarmup set (and every cell reconfigurable from the base
+// configuration) each (workload, policy) family warms once and forks
+// per cell. The baseline column then reconfigures to the base
+// configuration itself, so every cell's digest chains the same way.
+func (h *Harness) sweep(title string, n int, sizes []int, dim string) SweepResult {
+	d := mustSweepDim(dim)
 	wls := h.homogeneous(n)
 	nBase := len(wls)
-	pols := []core.Policy{core.GPUMMU4K, core.Mosaic}
 	// cells holds the GPU-MMU baseline of every workload, then for each
-	// size and workload one cell per policy.
-	cells := make([]Cell, 0, nBase*(1+len(sizes)*len(pols)))
+	// size and workload a GPU-MMU and a Mosaic cell.
+	var cells []Cell
 	for _, wl := range wls {
-		cells = append(cells, Cell{wl, h.Cfg, sim.Options{Policy: core.GPUMMU4K, Seed: h.Seed}})
+		cells = append(cells, h.cell(wl, h.Cfg, core.GPUMMU4K))
 	}
 	for _, size := range sizes {
-		cfg := h.Cfg
-		apply(&cfg, size)
-		cfg.ClampTLBWays()
 		for _, wl := range wls {
-			for _, p := range pols {
-				cells = append(cells, Cell{wl, cfg, sim.Options{Policy: p, Seed: h.Seed}})
-			}
+			cfg := h.Cfg
+			ApplySweepDim(&cfg, wl, d, size)
+			cells = append(cells, h.cell(wl, cfg, core.GPUMMU4K), h.cell(wl, cfg, core.Mosaic))
 		}
 	}
-	if h.SweepWarmup > 0 && !Forkable(h.Cfg, cells) && h.Progress != nil {
-		h.progressMu.Lock()
-		fmt.Fprintf(h.Progress, "sweep %q: SweepWarmup ignored (cells change non-TLB knobs)\n", title)
-		h.progressMu.Unlock()
+	var p plan
+	if h.SweepWarmup > 0 {
+		if Forkable(h.Cfg, cells) {
+			p.warmup = h.SweepWarmup
+		} else if h.Progress != nil {
+			fmt.Fprintf(h.Progress, "sweep %q: SweepWarmup ignored (cells change non-TLB knobs)\n", title)
+		}
 	}
-	results, err := RunCells(h.workers(), h.Cfg, h.SweepWarmup, cells)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %s: %v", title, err))
+	// Alone-run denominators deliberately use the base configuration for
+	// every cell: the sweep reports shared-run movement against a fixed
+	// reference, and forked and plain cells normalize identically.
+	for _, c := range cells {
+		p.addWS(c, h.Cfg)
 	}
-	// Alone-run denominators deliberately use the base configuration
-	// (nil mutate) for every cell: the sweep reports shared-run movement
-	// against a fixed reference, and forked and plain cells normalize
-	// identically.
-	ws := make([]float64, len(cells))
-	h.forEach(len(cells), func(i int) {
-		h.record(results[i])
-		ws[i] = h.weightedSpeedup(results[i], cells[i].Workload, nil)
-	})
+	_, ws := h.execute(p)
 
 	res := SweepResult{Sizes: sizes, Table: metrics.Table{
 		Title:   title,
@@ -649,7 +582,7 @@ func (h *Harness) sweep(title string, n int, sizes []int, apply func(*config.Con
 	for si, size := range sizes {
 		var g, m []float64
 		for w := 0; w < nBase; w++ {
-			c := nBase + (si*nBase+w)*len(pols)
+			c := nBase + (si*nBase+w)*2
 			g = append(g, ws[c])
 			m = append(m, ws[c+1])
 		}
@@ -666,8 +599,7 @@ func (h *Harness) Fig14L1(n int, sizes ...int) SweepResult {
 	if len(sizes) == 0 {
 		sizes = []int{8, 16, 32, 64, 128, 256}
 	}
-	return h.sweep("Fig. 14a: L1 TLB base-page entries", n, sizes,
-		mustSweepDim("l1base").Apply)
+	return h.sweep("Fig. 14a: L1 TLB base-page entries", n, sizes, "l1base")
 }
 
 // Fig14L2 sweeps shared L2 TLB base-page entries (paper: 64-4096).
@@ -675,8 +607,7 @@ func (h *Harness) Fig14L2(n int, sizes ...int) SweepResult {
 	if len(sizes) == 0 {
 		sizes = []int{64, 128, 256, 512, 1024, 4096}
 	}
-	return h.sweep("Fig. 14b: L2 TLB base-page entries", n, sizes,
-		mustSweepDim("l2base").Apply)
+	return h.sweep("Fig. 14b: L2 TLB base-page entries", n, sizes, "l2base")
 }
 
 // Fig15L1 sweeps per-SM L1 TLB large-page entries (paper: 4-64).
@@ -684,8 +615,7 @@ func (h *Harness) Fig15L1(n int, sizes ...int) SweepResult {
 	if len(sizes) == 0 {
 		sizes = []int{4, 8, 16, 32, 64}
 	}
-	return h.sweep("Fig. 15a: L1 TLB large-page entries", n, sizes,
-		mustSweepDim("l1large").Apply)
+	return h.sweep("Fig. 15a: L1 TLB large-page entries", n, sizes, "l1large")
 }
 
 // Fig15L2 sweeps shared L2 TLB large-page entries (paper: 32-512).
@@ -693,11 +623,17 @@ func (h *Harness) Fig15L2(n int, sizes ...int) SweepResult {
 	if len(sizes) == 0 {
 		sizes = []int{32, 64, 128, 256, 512}
 	}
-	return h.sweep("Fig. 15b: L2 TLB large-page entries", n, sizes,
-		mustSweepDim("l2large").Apply)
+	return h.sweep("Fig. 15b: L2 TLB large-page entries", n, sizes, "l2large")
 }
 
 // --------------------------------------------------------- Fig. 16 & Tab. 2
+
+// fragDRAM sizes cfg's DRAM so fragmentation creates genuine frame
+// pressure for spec: ~3x its working set plus the PT reserve.
+func fragDRAM(cfg config.Config, spec workload.Spec) config.Config {
+	cfg.TotalDRAMBytes = 3*spec.ScaledWorkingSet(cfg) + (96 << 20)
+	return cfg
+}
 
 // CACMode labels for Fig. 16.
 var cacModes = []struct {
@@ -727,34 +663,32 @@ func (h *Harness) fig16(title, xlabel string, points []float64, frag func(x floa
 	suite := h.suite()
 	nSuite := len(suite)
 	nModes := len(cacModes)
-	perfs := make([]float64, len(points)*nModes*nSuite)
-	h.forEach(len(perfs), func(i int) {
-		si := i % nSuite
-		mi := (i / nSuite) % nModes
-		pi := i / (nSuite * nModes)
-		spec := suite[si]
-		wl := workload.Workload{Name: spec.Name, Apps: []workload.Spec{spec}}
-		ws := spec.ScaledWorkingSet(h.Cfg)
-		index, occ := frag(points[pi])
-		cfgMut := func(c *config.Config) {
-			// Size DRAM so fragmentation creates genuine frame
-			// pressure: ~3x the working set plus the PT reserve.
-			c.TotalDRAMBytes = 3*ws + (96 << 20)
-			// Run longer than the default cap: compaction is a
-			// one-time cost that must amortize over execution, as
-			// it does in the paper's full-length runs.
-			if c.MaxWarpInstructions > 0 {
-				c.MaxWarpInstructions *= 2
+	var p plan
+	for _, x := range points {
+		index, occ := frag(x)
+		for _, mode := range cacModes {
+			for _, spec := range suite {
+				cfg := fragDRAM(h.Cfg, spec)
+				// Run longer than the default cap: compaction is a
+				// one-time cost that must amortize over execution, as
+				// it does in the paper's full-length runs.
+				if cfg.MaxWarpInstructions > 0 {
+					cfg.MaxWarpInstructions *= 2
+				}
+				c := h.cell(single(spec.Name, spec), cfg, core.Mosaic)
+				c.Options.FragIndex = index
+				c.Options.FragOccupancy = occ
+				c.Options.DeallocFraction = 0.6
+				c.Options.MutateManager = mode.mut
+				p.add(c)
 			}
 		}
-		simMut := func(o *sim.Options) {
-			o.FragIndex = index
-			o.FragOccupancy = occ
-			o.DeallocFraction = 0.6
-			o.MutateManager = cacModes[mi].mut
-		}
-		perfs[i] = h.mustRun(wl, core.Mosaic, cfgMut, simMut).TotalIPC()
-	})
+	}
+	runs, _ := h.execute(p)
+	perfs := make([]float64, len(runs))
+	for i, r := range runs {
+		perfs[i] = r.TotalIPC()
+	}
 
 	cellMean := func(pi, mi int) float64 {
 		start := (pi*nModes + mi) * nSuite
@@ -810,23 +744,24 @@ func (h *Harness) Table2(occupancies ...float64) Table2Result {
 	}
 	suite := h.suite()
 	nSuite := len(suite)
-	bloats := make([]float64, len(occupancies)*nSuite)
-	h.forEach(len(bloats), func(i int) {
-		spec := suite[i%nSuite]
-		occ := occupancies[i/nSuite]
-		wl := workload.Workload{Name: spec.Name, Apps: []workload.Spec{spec}}
-		ws := spec.ScaledWorkingSet(h.Cfg)
-		cfgMut := func(c *config.Config) { c.TotalDRAMBytes = 3*ws + (96 << 20) }
-		simMut := func(op *sim.Options) {
-			op.FragIndex = 1.0
-			op.FragOccupancy = occ
+	var p plan
+	for _, occ := range occupancies {
+		for _, spec := range suite {
+			c := h.cell(single(spec.Name, spec), fragDRAM(h.Cfg, spec), core.Mosaic)
+			c.Options.FragIndex = 1.0
+			c.Options.FragOccupancy = occ
 			// Mid-run deallocation creates the partially-freed
 			// coalesced frames whose locked slots are the bloat the
 			// paper measures.
-			op.DeallocFraction = 0.4
+			c.Options.DeallocFraction = 0.4
+			p.add(c)
 		}
-		bloats[i] = h.mustRun(wl, core.Mosaic, cfgMut, simMut).Apps[0].BloatPct
-	})
+	}
+	runs, _ := h.execute(p)
+	bloats := make([]float64, len(runs))
+	for i, r := range runs {
+		bloats[i] = r.Apps[0].BloatPct
+	}
 
 	res := Table2Result{Occupancies: occupancies, Table: metrics.Table{
 		Title:   "Table 2: Mosaic memory bloat vs large-frame occupancy (index 100%)",
@@ -873,22 +808,20 @@ func (h *Harness) Oversub(ratios ...float64) OversubResult {
 	wl := workload.Workload{Name: name, Apps: specs}
 	policies := []core.Policy{core.GPUMMU4K, core.GPUMMU2M, core.Mosaic, core.IdealTLB}
 
-	// Slot layout: the 4 unbounded baselines first, then ratio-major cells.
-	base := make([]float64, len(policies))
-	cells := make([]float64, len(ratios)*len(policies))
-	h.forEach(len(base)+len(cells), func(i int) {
-		if i < len(base) {
-			base[i] = h.mustRun(wl, policies[i], nil, nil).TotalIPC()
-			return
+	// The unbounded baselines first, then ratio-major cells.
+	var p plan
+	for _, pol := range policies {
+		p.add(h.cell(wl, h.Cfg, pol))
+	}
+	for _, ratio := range ratios {
+		cfg := h.Cfg
+		cfg.MaxResidentPages = workload.ResidentBudget(cfg, wl, ratio)
+		for _, pol := range policies {
+			p.add(h.cell(wl, cfg, pol))
 		}
-		j := i - len(base)
-		ratio := ratios[j/len(policies)]
-		p := policies[j%len(policies)]
-		mut := func(c *config.Config) {
-			c.MaxResidentPages = workload.ResidentBudget(*c, wl, ratio)
-		}
-		cells[j] = h.mustRun(wl, p, mut, nil).TotalIPC()
-	})
+	}
+	runs, _ := h.execute(p)
+	base, cells := runs[:len(policies)], runs[len(policies):]
 
 	res := OversubResult{Ratios: ratios, Table: metrics.Table{
 		Title:   "Oversubscription: IPC retained under a bounded page pool (vs unbounded)",
@@ -897,7 +830,7 @@ func (h *Harness) Oversub(ratios ...float64) OversubResult {
 	for ri, ratio := range ratios {
 		row := make([]float64, len(policies))
 		for pi := range policies {
-			row[pi] = cells[ri*len(policies)+pi] / base[pi]
+			row[pi] = cells[ri*len(policies)+pi].TotalIPC() / base[pi].TotalIPC()
 		}
 		res.GPUMMU = append(res.GPUMMU, row[0])
 		res.GPUMMU2M = append(res.GPUMMU2M, row[1])

@@ -1,24 +1,26 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§6 plus the motivating studies of §3). Each FigN function
-// runs the required simulations and returns both structured results (for
-// tests and benches) and a rendered metrics.Table.
+// returns both structured results (for tests and benches) and a
+// rendered metrics.Table.
 //
 // Weighted speedup follows §5: IPC_alone is measured by running each
 // application by itself on the same number of SMs it gets in the shared
-// run, under the state-of-the-art GPU-MMU baseline configuration; alone
-// runs are cached across experiments.
+// run, under the state-of-the-art GPU-MMU baseline configuration.
 //
-// Every experiment first enumerates its full set of independent
-// simulations, submits them to a worker-pool Runner (sized by Jobs), and
-// assembles tables from the completed results in submission order, so the
-// output is byte-identical regardless of the worker count.
+// Every figure is a planner plus a reducer. The planner lists the cells
+// the figure simulates — its shared runs and the alone runs their
+// weighted speedups divide by — and execute runs them: it keys each cell
+// by (workload, policy, config digest), simulates every key once per
+// harness across a worker pool (sized by Jobs), and serves repeats,
+// within a figure or from an earlier one, from a result memo. The
+// reducer then assembles means and tables from the results in plan
+// order, so the output is byte-identical regardless of the worker count.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -27,7 +29,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Harness drives the evaluation.
+// Harness drives the evaluation. It runs one figure at a time: its
+// methods must not be called concurrently.
 type Harness struct {
 	// Cfg is the base configuration; experiments copy and mutate it.
 	Cfg config.Config
@@ -38,18 +41,21 @@ type Harness struct {
 	// HetPerLevel is the number of heterogeneous workloads per
 	// concurrency level (25 in the paper).
 	HetPerLevel int
-	// Progress, when non-nil, receives one line per completed run. With
-	// Jobs != 1 the line order follows run completion, not submission.
+	// Progress, when non-nil, receives one line per simulated cell, in
+	// plan order once a figure's simulations have finished. Cells served
+	// from the result memo print nothing.
 	Progress io.Writer
 	// Jobs is the number of simulations run concurrently: 0 (default)
 	// means GOMAXPROCS, 1 runs strictly sequentially. Results and
 	// rendered tables are identical for every value.
 	Jobs int
-	// Collect, when non-nil, receives a RunRecord for every simulation
-	// the harness executes (including cache-miss alone runs) plus the
-	// weighted speedups computed from them. The collected set is
-	// identical for every Jobs value; swap in a fresh collector per
-	// experiment (or use CollectFigure) to group records by figure.
+	// Collect, when non-nil, receives a RunRecord for every shared cell
+	// a figure plans, whether simulated or served from the memo (a
+	// repeat increments Count), and for every alone run in the figure
+	// that simulated it, plus the weighted speedups computed from them.
+	// The collected set is identical for every Jobs value; swap in a
+	// fresh collector per experiment (or use CollectFigure) to group
+	// records by figure.
 	Collect *metrics.Collector
 	// SweepWarmup, when positive, turns the TLB sweeps (Fig14*/Fig15*)
 	// into two-phase plans amortized across cells (see RunCells): every
@@ -62,26 +68,8 @@ type Harness struct {
 	// single-phase sweep behavior and digests.
 	SweepWarmup uint64
 
-	progressMu sync.Mutex
-
-	aloneMu sync.Mutex
-	alone   map[aloneKey]*aloneCell
-}
-
-// aloneKey identifies one alone-run simulation: the application plus the
-// fully mutated configuration it runs under. Keying by the whole config
-// (rather than a few fields) keeps experiments with different mutate
-// functions from sharing stale alone IPCs.
-type aloneKey struct {
-	app string
-	cfg config.Config
-}
-
-// aloneCell is a single-flight cache slot: concurrent requests for the
-// same alone IPC block on once while exactly one of them simulates.
-type aloneCell struct {
-	once sync.Once
-	val  float64
+	// memo holds every result this harness simulated.
+	memo map[cellKey]sim.Results
 }
 
 // New returns a harness over cfg with paper-default workload counts.
@@ -105,31 +93,6 @@ func (h *Harness) workers() int {
 		return h.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// forEach runs fn(0..n-1) across the harness's worker pool and returns
-// once all calls completed, re-raising the first panic. With one worker
-// (or n == 1) it runs inline in index order, exactly like the old
-// sequential harness. fn must write results only into its own index's
-// slot; callers assemble in index order afterwards.
-func (h *Harness) forEach(n int, fn func(i int)) {
-	w := h.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	r := NewRunner(w)
-	defer r.Close()
-	for i := 0; i < n; i++ {
-		i := i
-		r.Submit(func() { fn(i) })
-	}
-	r.Wait()
 }
 
 // suite returns the (possibly restricted) application list.
@@ -161,41 +124,162 @@ func (h *Harness) homogeneous(n int) []workload.Workload {
 	return out
 }
 
-// run executes one simulation.
-func (h *Harness) run(wl workload.Workload, policy core.Policy, mutate func(*config.Config), simMut func(*sim.Options)) (sim.Results, error) {
-	c := Cell{Workload: wl, Config: h.Cfg, Options: sim.Options{Policy: policy, Seed: h.Seed}}
-	if mutate != nil {
-		mutate(&c.Config)
-	}
-	if simMut != nil {
-		simMut(&c.Options)
-	}
-	r, err := c.run()
-	if err != nil {
-		return sim.Results{}, err
-	}
-	h.record(r)
-	return r, nil
+// single is the workload of one application by itself.
+func single(name string, spec workload.Spec) workload.Workload {
+	return workload.Workload{Name: name, Apps: []workload.Spec{spec}}
 }
 
-// record feeds one completed simulation to Collect and Progress.
-func (h *Harness) record(r sim.Results) {
-	if h.Collect != nil {
-		h.Collect.Add(r)
+// cell is a shared cell of wl under policy on cfg.
+func (h *Harness) cell(wl workload.Workload, cfg config.Config, policy core.Policy) Cell {
+	return Cell{wl, cfg, sim.Options{Policy: policy, Seed: h.Seed}}
+}
+
+// noPaging is cfg without the I/O bus: no demand-paging overhead.
+func noPaging(cfg config.Config) config.Config {
+	cfg.IOBusEnabled = false
+	return cfg
+}
+
+// A plan is the cells one figure simulates. cells are its shared runs,
+// in the order its reducer reads them; alone[i] lists the alone runs
+// behind cells[i]'s weighted speedup (nil: it has none).
+type plan struct {
+	cells []Cell
+	alone [][]Cell
+	// warmup, when positive, forks every shared cell from a warmup
+	// snapshot of this many cycles (see RunCells); the planner must have
+	// checked that the shared cells are Forkable from the base config.
+	warmup uint64
+}
+
+// add appends a shared cell.
+func (p *plan) add(c Cell) {
+	p.cells = append(p.cells, c)
+	p.alone = append(p.alone, nil)
+}
+
+// addWS appends a shared cell whose weighted speedup (Eq. 1) divides by
+// alone runs on ref: each application by itself on its share of ref's
+// SMs, under the GPU-MMU baseline.
+func (p *plan) addWS(c Cell, ref config.Config) {
+	ref.NumSMs = max(1, ref.NumSMs/len(c.Workload.Apps))
+	alone := make([]Cell, len(c.Workload.Apps))
+	for i, spec := range c.Workload.Apps {
+		alone[i] = Cell{single("alone-"+spec.Name, spec), ref, sim.Options{Policy: core.GPUMMU4K, Seed: c.Options.Seed}}
 	}
-	if h.Progress != nil {
-		h.progressMu.Lock()
-		fmt.Fprintf(h.Progress, "ran %-24s %-12s %9d cycles\n", r.Workload, r.Policy, r.Cycles)
-		h.progressMu.Unlock()
+	p.cells = append(p.cells, c)
+	p.alone = append(p.alone, alone)
+}
+
+// cellKey identifies one simulation: equal keys run byte-identical
+// simulations.
+type cellKey struct {
+	workload string
+	policy   core.Policy
+	digest   string
+}
+
+// execute runs a plan and returns its shared cells' results and
+// weighted speedups (zero where none was planned), in plan order. Each
+// distinct key is simulated once per harness: repeats within the plan
+// and keys an earlier plan simulated come from the memo. Shared cells
+// fork from p.warmup snapshots when it is set; alone runs always run
+// single-phase. Records go to Collect as its documentation describes.
+func (h *Harness) execute(p plan) ([]sim.Results, []float64) {
+	if h.memo == nil {
+		h.memo = make(map[cellKey]sim.Results)
 	}
+	// Misses queue in batches by warmup: a warmed plan forks its shared
+	// cells in their own batch. fresh holds the keys this plan
+	// simulates, until recorded.
+	type batch struct {
+		warmup uint64
+		cells  []Cell
+		keys   []cellKey
+	}
+	plain := &batch{}
+	forked, batches := plain, []*batch{plain}
+	if p.warmup > 0 {
+		forked = &batch{warmup: p.warmup}
+		batches = []*batch{forked, plain}
+	}
+	fresh := map[cellKey]bool{}
+	queue := func(b *batch, c Cell) cellKey {
+		opt := c.Options
+		if b.warmup > 0 {
+			opt = twoPhase(opt, b.warmup)
+		}
+		k := cellKey{c.Workload.Name, opt.Policy, sim.Digest(c.Config, opt)}
+		if _, ok := h.memo[k]; !ok && !fresh[k] {
+			fresh[k] = true
+			b.cells = append(b.cells, c)
+			b.keys = append(b.keys, k)
+		}
+		return k
+	}
+	shared := make([]cellKey, len(p.cells))
+	alone := make([][]cellKey, len(p.cells))
+	for i, c := range p.cells {
+		shared[i] = queue(forked, c)
+		for _, a := range p.alone[i] {
+			alone[i] = append(alone[i], queue(plain, a))
+		}
+	}
+	for _, b := range batches {
+		if len(b.cells) == 0 {
+			continue
+		}
+		results, err := RunCells(h.workers(), h.Cfg, b.warmup, b.cells)
+		if err != nil {
+			panic(fmt.Sprintf("harness: %v", err))
+		}
+		for i, r := range results {
+			h.memo[b.keys[i]] = r
+			if h.Progress != nil {
+				fmt.Fprintf(h.Progress, "ran %-24s %-12s %9d cycles\n", r.Workload, r.Policy, r.Cycles)
+			}
+		}
+	}
+
+	res := make([]sim.Results, len(p.cells))
+	ws := make([]float64, len(p.cells))
+	for i, k := range shared {
+		r := h.memo[k]
+		res[i] = r
+		if h.Collect != nil {
+			h.Collect.Add(r)
+		}
+		if alone[i] == nil {
+			continue
+		}
+		ipcs := make([]float64, len(r.Apps))
+		aloneIPCs := make([]float64, len(r.Apps))
+		for j, ak := range alone[i] {
+			ipcs[j] = r.Apps[j].IPC
+			aloneIPCs[j] = h.memo[ak].Apps[0].IPC
+			if fresh[ak] && h.Collect != nil {
+				h.Collect.Add(h.memo[ak])
+			}
+			delete(fresh, ak) // an alone run is recorded once
+		}
+		w, err := metrics.WeightedSpeedup(ipcs, aloneIPCs)
+		if err != nil {
+			panic(err)
+		}
+		ws[i] = w
+		if h.Collect != nil {
+			h.Collect.SetWeightedSpeedup(r.Workload, r.Policy, r.ConfigDigest, w)
+		}
+	}
+	return res, ws
 }
 
 // CollectFigure runs one experiment body under a fresh collector and
 // packages its table and run records as an exportable Figure. The body
 // typically calls one FigN method and returns its Table. The returned
 // figure is byte-identical (after JSON/CSV serialization) for every
-// Jobs value. Alone-run simulations land in the figure that first
-// needed them; later figures reuse the cached IPC without re-recording.
+// Jobs value. Alone runs land in the figure that simulated them; later
+// figures read them from the memo without re-recording.
 func (h *Harness) CollectFigure(id string, body func() metrics.Table) metrics.Figure {
 	prev := h.Collect
 	col := metrics.NewCollector()
@@ -210,79 +294,3 @@ func (h *Harness) CollectFigure(id string, body func() metrics.Table) metrics.Fi
 		Runs:    col.Records(),
 	}
 }
-
-// mustRun is run with panic-on-error; experiment workloads are
-// constructed by the harness itself, so failures are programming errors.
-func (h *Harness) mustRun(wl workload.Workload, policy core.Policy, mutate func(*config.Config), simMut func(*sim.Options)) sim.Results {
-	r, err := h.run(wl, policy, mutate, simMut)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %s/%v: %v", wl.Name, policy, err))
-	}
-	return r
-}
-
-// aloneIPC returns the cached alone-run IPC of one application on smCount
-// SMs under the GPU-MMU baseline (§5's IPC_alone definition). The cache
-// is keyed by the fully mutated configuration and is single-flight:
-// concurrent workers requesting the same alone IPC compute it exactly
-// once, the rest block until the value is ready.
-func (h *Harness) aloneIPC(spec workload.Spec, smCount int, mutate func(*config.Config)) float64 {
-	aloneMut := func(c *config.Config) {
-		if mutate != nil {
-			mutate(c)
-		}
-		c.NumSMs = smCount
-	}
-	cfg := h.Cfg
-	aloneMut(&cfg)
-	key := aloneKey{app: spec.Name, cfg: cfg}
-
-	h.aloneMu.Lock()
-	if h.alone == nil {
-		h.alone = make(map[aloneKey]*aloneCell)
-	}
-	cell := h.alone[key]
-	if cell == nil {
-		cell = &aloneCell{}
-		h.alone[key] = cell
-	}
-	h.aloneMu.Unlock()
-
-	cell.once.Do(func() {
-		r := h.mustRun(workload.Workload{Name: "alone-" + spec.Name, Apps: []workload.Spec{spec}},
-			core.GPUMMU4K, aloneMut, nil)
-		cell.val = r.Apps[0].IPC
-	})
-	return cell.val
-}
-
-// weightedSpeedup computes Eq. 1 for one shared run. The per-application
-// SM share comes from the mutated configuration, so experiments that
-// change NumSMs get alone runs on the SM count the shared run actually
-// used.
-func (h *Harness) weightedSpeedup(r sim.Results, wl workload.Workload, mutate func(*config.Config)) float64 {
-	cfg := h.Cfg
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	smPer := cfg.NumSMs / len(wl.Apps)
-	if smPer == 0 {
-		smPer = 1
-	}
-	shared := make([]float64, len(r.Apps))
-	alone := make([]float64, len(r.Apps))
-	for i, a := range r.Apps {
-		shared[i] = a.IPC
-		alone[i] = h.aloneIPC(wl.Apps[i], smPer, mutate)
-	}
-	ws, err := metrics.WeightedSpeedup(shared, alone)
-	if err != nil {
-		panic(err)
-	}
-	if h.Collect != nil {
-		h.Collect.SetWeightedSpeedup(r.Workload, r.Policy, r.ConfigDigest, ws)
-	}
-	return ws
-}
-
-func noPaging(c *config.Config) { c.IOBusEnabled = false }

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // tiny returns a harness small enough for unit tests: FastTest hardware,
@@ -239,16 +243,59 @@ func TestFig16AndTable2(t *testing.T) {
 	}
 }
 
+// TestAloneIPCCaching: an alone run shared by several weighted speedups
+// is simulated once, and a repeated plan simulates nothing.
 func TestAloneIPCCaching(t *testing.T) {
 	h := tiny(t)
-	spec := h.suite()[0]
-	v1 := h.aloneIPC(spec, 3, nil)
-	v2 := h.aloneIPC(spec, 3, nil)
-	if v1 != v2 {
-		t.Errorf("alone IPC not cached deterministically: %f vs %f", v1, v2)
+	var progress strings.Builder
+	h.Progress = &progress
+	wl := h.homogeneous(1)[0]
+	var p plan
+	p.addWS(h.cell(wl, h.Cfg, core.GPUMMU4K), h.Cfg)
+	p.addWS(h.cell(wl, h.Cfg, core.Mosaic), h.Cfg)
+	_, ws1 := h.execute(p)
+	_, ws2 := h.execute(p)
+	if !slices.Equal(ws1, ws2) {
+		t.Errorf("weighted speedups changed on a memo hit: %v vs %v", ws1, ws2)
 	}
-	if len(h.alone) != 1 {
-		t.Errorf("cache has %d entries, want 1", len(h.alone))
+	if n := strings.Count(progress.String(), "ran "); n != 3 {
+		t.Errorf("simulated %d cells, want 3 (two shared, one alone):\n%s", n, progress.String())
+	}
+	if n := strings.Count(progress.String(), "alone-"); n != 1 {
+		t.Errorf("alone run simulated %d times, want 1", n)
+	}
+	if len(h.memo) != 3 {
+		t.Errorf("memo has %d entries, want 3", len(h.memo))
+	}
+}
+
+// TestRepeatedFigureServedFromMemo: a second collected figure over the
+// same experiment simulates nothing, and its report equals the first
+// one's without the alone records (those stay with the figure that
+// simulated them).
+func TestRepeatedFigureServedFromMemo(t *testing.T) {
+	h := tiny(t)
+	var progress strings.Builder
+	h.Progress = &progress
+	body := func() metrics.Table { return h.Fig8(1, 2).Table }
+	first := h.CollectFigure("fig8", body)
+	ran := strings.Count(progress.String(), "ran ")
+	second := h.CollectFigure("fig8", body)
+	if n := strings.Count(progress.String(), "ran ") - ran; n != 0 {
+		t.Errorf("repeated figure simulated %d cells, want 0", n)
+	}
+	var shared []metrics.RunRecord
+	for _, r := range first.Runs {
+		if !strings.HasPrefix(r.Workload, "alone-") {
+			shared = append(shared, r)
+		}
+	}
+	if len(shared) == len(first.Runs) {
+		t.Fatal("first figure recorded no alone runs")
+	}
+	first.Runs = shared
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("repeated figure differs beyond its alone records:\n%+v\n%+v", first, second)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -98,22 +98,38 @@ func TestOversubDeterminism(t *testing.T) {
 	}
 }
 
+// aloneKeys returns the memo's alone-run keys.
+func aloneKeys(h *Harness) []cellKey {
+	var out []cellKey
+	for k := range h.memo {
+		if strings.HasPrefix(k.workload, "alone-") {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // TestAloneCacheDistinguishesMutatedConfigs is the regression test for
-// the old (app, sms, paging) cache key: two mutate functions that
-// produce different configurations must get two cache entries, not
-// share one stale alone IPC.
+// the old (app, sms, paging) cache key: alone runs on two different
+// configurations get two memo entries, not one stale alone IPC.
 func TestAloneCacheDistinguishesMutatedConfigs(t *testing.T) {
 	h := tiny(t)
-	spec := h.suite()[0]
-	h.aloneIPC(spec, 2, nil)
-	h.aloneIPC(spec, 2, func(c *config.Config) { c.WalkerConcurrency = 1 })
-	if len(h.alone) != 2 {
-		t.Fatalf("cache has %d entries; different mutates must not share an alone IPC", len(h.alone))
+	wl := h.homogeneous(2)[0]
+	walk1 := h.Cfg
+	walk1.WalkerConcurrency = 1
+	var p plan
+	p.addWS(h.cell(wl, h.Cfg, core.GPUMMU4K), h.Cfg)
+	p.addWS(h.cell(wl, h.Cfg, core.GPUMMU4K), walk1)
+	h.execute(p)
+	if n := len(aloneKeys(h)); n != 2 {
+		t.Fatalf("memo has %d alone runs; different configs must not share an alone IPC", n)
 	}
-	// The same mutate again hits the cache instead of adding an entry.
-	h.aloneIPC(spec, 2, func(c *config.Config) { c.WalkerConcurrency = 1 })
-	if len(h.alone) != 2 {
-		t.Errorf("repeat lookup grew the cache to %d entries", len(h.alone))
+	// The same config again hits the memo instead of adding an entry.
+	var again plan
+	again.addWS(h.cell(wl, h.Cfg, core.GPUMMU4K), walk1)
+	h.execute(again)
+	if n := len(aloneKeys(h)); n != 2 {
+		t.Errorf("repeat lookup grew the memo to %d alone runs", n)
 	}
 }
 
@@ -127,22 +143,24 @@ func TestWeightedSpeedupUsesMutatedSMCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl := workload.Workload{Name: "2xCONS", Apps: []workload.Spec{spec, spec}}
-	mut := func(c *config.Config) { c.NumSMs = 2 }
-	r := h.mustRun(wl, core.GPUMMU4K, mut, nil)
-	h.weightedSpeedup(r, wl, mut)
+	cfg := h.Cfg
+	cfg.NumSMs = 2
+	var p plan
+	p.addWS(h.cell(wl, cfg, core.GPUMMU4K), cfg)
+	h.execute(p)
 
+	alone := func(sms int) cellKey {
+		c := cfg
+		c.NumSMs = sms
+		opt := sim.Options{Policy: core.GPUMMU4K, Seed: h.Seed}
+		return cellKey{"alone-CONS", core.GPUMMU4K, sim.Digest(c, opt)}
+	}
 	// The alone runs must use 2/2 = 1 SM of the mutated config...
-	want := h.Cfg
-	mut(&want)
-	want.NumSMs = 1
-	if _, ok := h.alone[aloneKey{app: spec.Name, cfg: want}]; !ok {
+	if _, ok := h.memo[alone(1)]; !ok {
 		t.Error("alone run not keyed by the mutated config's SM share")
 	}
 	// ...not 6/2 = 3 SMs derived from the un-mutated base config.
-	wrong := h.Cfg
-	mut(&wrong)
-	wrong.NumSMs = 3
-	if _, ok := h.alone[aloneKey{app: spec.Name, cfg: wrong}]; ok {
+	if _, ok := h.memo[alone(3)]; ok {
 		t.Error("alone run derived its SM share from the un-mutated base config")
 	}
 }

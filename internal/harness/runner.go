@@ -44,7 +44,7 @@ func NewRunner(workers int) *Runner {
 
 // Submit queues fn for execution, blocking while every worker is busy.
 // A panic inside fn is captured and re-raised by the next Wait, matching
-// the panic-on-error contract of Harness.mustRun.
+// the panic-on-error contract of the harness figures.
 //
 // Submit must not be called after Close: the Runner's lifecycle is
 // Submit* → Wait → Close (Wait may interleave with further Submit

@@ -31,10 +31,9 @@ func sweepGrid(t *testing.T, dim string, sizes ...int) (config.Config, []Cell) {
 	h.AppNames = []string{"NW", "CONS"}
 	var cells []Cell
 	for _, size := range sizes {
-		cfg := h.Cfg
-		mustSweepDim(dim).Apply(&cfg, size)
-		cfg.ClampTLBWays()
 		for _, wl := range h.homogeneous(2) {
+			cfg := h.Cfg
+			ApplySweepDim(&cfg, wl, mustSweepDim(dim), size)
 			for _, p := range []core.Policy{core.GPUMMU4K, core.Mosaic} {
 				cells = append(cells, Cell{wl, cfg, sim.Options{Policy: p, Seed: h.Seed}})
 			}

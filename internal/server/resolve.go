@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/config"
@@ -47,8 +48,10 @@ func Resolve(base func() config.Config, req RunRequest) (Plan, error) {
 	if req.Shards < 0 {
 		return Plan{}, fmt.Errorf("shards must be non-negative")
 	}
-	if req.Oversub < 0 {
-		return Plan{}, fmt.Errorf("oversub must be non-negative")
+	// NaN compares false both ways and would leave residency unbounded;
+	// +Inf would shrink the budget to its floor.
+	if req.Oversub < 0 || math.IsNaN(req.Oversub) || math.IsInf(req.Oversub, 0) {
+		return Plan{}, fmt.Errorf("oversub must be a finite non-negative ratio, got %g", req.Oversub)
 	}
 	if req.Scale < 0 {
 		return Plan{}, fmt.Errorf("scale must be non-negative")
@@ -103,6 +106,10 @@ func Resolve(base func() config.Config, req RunRequest) (Plan, error) {
 		d, err := harness.SweepDimByName(req.Dim)
 		if err != nil {
 			return Plan{}, err
+		}
+		// ApplySweepDim reads any oversub percentage <= 0 as unbounded.
+		if d.Name == "oversub" && req.DimValue < 0 {
+			return Plan{}, fmt.Errorf("oversub dimension value must be non-negative (percent, 0 = unbounded), got %d", req.DimValue)
 		}
 		harness.ApplySweepDim(&cfg, wl, d, req.DimValue)
 	}
