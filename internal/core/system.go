@@ -27,8 +27,14 @@ type Stats struct {
 	BulkCopies         uint64 // migrations that used in-DRAM copy
 	EmergencyAdds      uint64 // regions parked on the emergency frame list
 	EmergencySplinters uint64 // emergency-list frames splintered for space
-	StallCycles        uint64 // GPU-wide stall imposed (CAC worst-case model)
-	AllocFallbacks     uint64 // allocations that needed CAC recovery
+	// StallCycles is not the time the GPU was stalled (CAC worst-case
+	// model). Each stall that ends later than the previous one adds its
+	// end minus the previous end, counting the first from cycle 0, so
+	// the sum telescopes to the end cycle of the latest stall: the time
+	// before the first stall and every gap between stalls count too.
+	// RunRecords serialize it, so correcting it changes record bytes.
+	StallCycles    uint64
+	AllocFallbacks uint64 // allocations that needed CAC recovery
 
 	// ---- bounded residency (oversubscription) ----
 	// Nonzero only when Config.MaxResidentPages bounds the GPU page pool

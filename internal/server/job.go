@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // job is one accepted simulation: the resolved plan plus the mutable
@@ -19,8 +20,12 @@ import (
 // out, or is canceled is evicted from the cache, so only completed runs
 // are ever served.
 type job struct {
-	Plan
-	id string
+	// Key is the plan's result identity and seed the seed its report is
+	// stamped with: all a terminal job keeps of its plan. The server
+	// keeps every job addressable by ID for its whole life.
+	Key  store.Key
+	seed int64
+	id   string
 
 	// ctx bounds the job's whole life (queue wait + run) and cancel
 	// ends it early; both are set by start at acceptance time. Jobs
@@ -32,7 +37,11 @@ type job struct {
 	// the job is not cached as done. Guarded by Server.mu, not job.mu.
 	lruElem *list.Element
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// plan is what the job simulates, released by finish. start reads
+	// it before the job is registered; execute gets it from
+	// trySetRunning.
+	plan   *Plan
 	state  JobState
 	errMsg string
 	result []byte // serialized Report, set when state == JobDone
@@ -42,7 +51,7 @@ type job struct {
 // newJob wraps a resolved plan as a queued job, not yet registered or
 // enqueued.
 func newJob(p Plan) *job {
-	return &job{Plan: p, state: JobQueued, done: make(chan struct{})}
+	return &job{Key: p.Key, seed: p.Options.Seed, plan: &p, state: JobQueued, done: make(chan struct{})}
 }
 
 // start arms the job's lifetime context at acceptance: the request's
@@ -51,8 +60,8 @@ func newJob(p Plan) *job {
 // execution, not the simulation's identity.
 func (j *job) start(defaultTimeout time.Duration) {
 	timeout := defaultTimeout
-	if j.Req.TimeoutMS > 0 {
-		timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
+	if ms := j.plan.Req.TimeoutMS; ms > 0 {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	if timeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
@@ -76,17 +85,17 @@ func (j *job) status(cached bool) JobStatus {
 	}
 }
 
-// trySetRunning moves queued → running; it refuses (and reports false)
-// once the job is terminal, so a cancel that landed while the job sat
-// in the queue keeps it from ever running.
-func (j *job) trySetRunning() bool {
+// trySetRunning moves queued → running and returns the plan to run; it
+// refuses (and returns nil) once the job is terminal, so a cancel that
+// landed while the job sat in the queue keeps it from ever running.
+func (j *job) trySetRunning() *Plan {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobQueued {
-		return false
+		return nil
 	}
 	j.state = JobRunning
-	return true
+	return j.plan
 }
 
 // finish moves the job to a terminal state exactly once; later calls
@@ -101,12 +110,24 @@ func (j *job) finish(state JobState, errMsg string, result []byte) bool {
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result
+	j.plan = nil
 	j.mu.Unlock()
 	if j.cancel != nil {
 		j.cancel()
 	}
 	close(j.done)
 	return true
+}
+
+// doneResult returns the serialized report of a done job whose bytes
+// are still held, else nil.
+func (j *job) doneResult() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != JobDone {
+		return nil
+	}
+	return j.result
 }
 
 // dropResult releases a done job's serialized report (LRU eviction);
@@ -177,7 +198,8 @@ func (s *Server) execute(j *job) {
 			s.finishExecFailure(j, fmt.Errorf("worker panic: %v", p))
 		}
 	}()
-	if !j.trySetRunning() {
+	p := j.trySetRunning()
+	if p == nil {
 		// Canceled while queued (or racing with it): nothing to run.
 		return
 	}
@@ -201,7 +223,7 @@ func (s *Server) execute(j *job) {
 				ch <- outcome{err: fmt.Errorf("simulation panic: %v", p)}
 			}
 		}()
-		res, err := s.runSim(j.ctx, j.Config, j.Workload, j.Options)
+		res, err := s.runSim(j.ctx, p.Config, p.Workload, p.Options)
 		ch <- outcome{res, err}
 	}()
 

@@ -46,6 +46,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"mosaicd_cache_capacity", "Bound on cached done results (0 = unbounded).", "gauge", strconv.Itoa(s.cacheCap)},
 		{"mosaicd_cache_lru_evictions_total", "Done results evicted by the LRU bound (still served from the store).", "counter", strconv.FormatUint(s.cacheLRUEvictions.Load(), 10)},
 		{"mosaicd_store_serves_total", "Submissions answered from the persistent store without simulating.", "counter", strconv.FormatUint(s.storeServes.Load(), 10)},
+		{"mosaicd_results_inline_total", "Submissions answered with the report inline (Prefer: return=representation).", "counter", strconv.FormatUint(s.resultsInline.Load(), 10)},
 		{"mosaicd_store_put_errors_total", "Completed results that failed to persist to the store.", "counter", strconv.FormatUint(s.storePutErrors.Load(), 10)},
 		{"mosaicd_store_gets_total", "Store lookups.", "counter", strconv.FormatUint(sc.Gets, 10)},
 		{"mosaicd_store_hits_total", "Store lookups that returned a payload.", "counter", strconv.FormatUint(sc.Hits, 10)},

@@ -7,7 +7,9 @@
 //
 // The HTTP API (docs/SERVICE.md):
 //
-//	POST /v1/runs             submit a RunRequest → JobStatus
+//	POST /v1/runs             submit a RunRequest → JobStatus (or, with
+//	                          Prefer: return=representation, the report
+//	                          of a job already done)
 //	GET  /v1/runs/{id}        job lifecycle status
 //	GET  /v1/runs/{id}/result schema-versioned Report JSON of a done job
 //	POST /v1/runs/{id}/cancel cancel a queued or running job
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,6 +142,7 @@ type Server struct {
 	cacheEvictions    atomic.Uint64
 	cacheLRUEvictions atomic.Uint64
 	storeServes       atomic.Uint64
+	resultsInline     atomic.Uint64
 	storePutErrors    atomic.Uint64
 
 	campaignsTotal      atomic.Uint64
@@ -274,8 +278,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case src == srcSim:
 		writeJSON(w, http.StatusAccepted, got.status(false))
 	default:
+		if prefersInline(r.Header) {
+			if result := got.doneResult(); result != nil {
+				s.resultsInline.Add(1)
+				w.Header().Set("Location", "/v1/runs/"+got.id)
+				w.Header().Set("Preference-Applied", PreferInline)
+				writeReport(w, result)
+				return
+			}
+		}
 		writeJSON(w, http.StatusOK, got.status(true))
 	}
+}
+
+// prefersInline reports whether a request's Prefer headers (RFC 7240:
+// comma-separated preferences, each optionally followed by
+// ;-parameters) ask for return=representation.
+func prefersInline(h http.Header) bool {
+	for _, v := range h.Values("Prefer") {
+		for _, pref := range strings.Split(v, ",") {
+			pref, _, _ = strings.Cut(pref, ";")
+			name, val, _ := strings.Cut(pref, "=")
+			if strings.EqualFold(strings.TrimSpace(name), "return") &&
+				strings.EqualFold(strings.Trim(strings.TrimSpace(val), `"`), "representation") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // The two refusals of admission: a draining server accepts nothing,
@@ -434,9 +464,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(result)
+		writeReport(w, result)
 	case JobFailed:
 		writeError(w, http.StatusInternalServerError, errMsg)
 	case JobCanceled:
@@ -506,6 +534,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeReport serves a done job's serialized report verbatim.
+func writeReport(w http.ResponseWriter, result []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(result)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -52,7 +52,7 @@ func (s *Server) envelope(j *job, rec metrics.RunRecord) ([]byte, error) {
 	rep := metrics.Report{
 		SchemaVersion: metrics.SchemaVersion,
 		Generator:     s.opt.Generator,
-		Seed:          j.Options.Seed,
+		Seed:          j.seed,
 		Apps:          strings.Split(j.Key.Workload, ","),
 		Figures: []metrics.Figure{{
 			ID:    "run",

@@ -66,6 +66,15 @@ type RunRequest struct {
 	DimValue int    `json:",omitempty"`
 }
 
+// PreferInline is the RFC 7240 preference a POST /v1/runs may carry in
+// its Prefer header. When the submitted job is already done at
+// admission (a cache hit or a store serve) and its report bytes are
+// held, the answer is 200 with the report itself — the bytes GET
+// /v1/runs/{id}/result serves — plus Preference-Applied: PreferInline
+// and Location: /v1/runs/{id}. Every other answer is the JobStatus a
+// submission without the header gets.
+const PreferInline = "return=representation"
+
 // CampaignRequest is the body of POST /v1/campaigns: a whole sweep
 // grid — every (value, policy) cell of Base swept along Dim — submitted
 // as one schedulable unit. PlanCampaign expands it (cell i is value

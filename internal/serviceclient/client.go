@@ -76,33 +76,50 @@ func New(baseURL string) *Client {
 // onto an existing identical job. A full queue returns ErrQueueFull, a
 // draining server ErrDraining.
 func (c *Client) Submit(ctx context.Context, req server.RunRequest) (server.JobStatus, error) {
+	st, _, err := c.submit(ctx, req, false)
+	return st, err
+}
+
+// submit posts one RunRequest. With inline set it sends Prefer:
+// return=representation, and when the service answers with the report
+// of a job already done, returns those bytes as report and a zero
+// status.
+func (c *Client) submit(ctx context.Context, req server.RunRequest, inline bool) (st server.JobStatus, report []byte, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return server.JobStatus{}, err
+		return st, nil, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/runs", bytes.NewReader(body))
 	if err != nil {
-		return server.JobStatus{}, err
+		return st, nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
+	if inline {
+		hreq.Header.Set("Prefer", server.PreferInline)
+	}
 	resp, err := c.httpClient().Do(hreq)
 	if err != nil {
-		return server.JobStatus{}, translateCtxErr(ctx, err)
+		return st, nil, translateCtxErr(ctx, err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
-		var st server.JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return server.JobStatus{}, fmt.Errorf("serviceclient: parsing submit response: %w", err)
+		if inline && resp.StatusCode == http.StatusOK && resp.Header.Get("Preference-Applied") == server.PreferInline {
+			if report, err = io.ReadAll(resp.Body); err != nil {
+				return st, nil, translateCtxErr(ctx, err)
+			}
+			return st, report, nil
 		}
-		return st, nil
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			return st, nil, fmt.Errorf("serviceclient: parsing submit response: %w", err)
+		}
+		return st, nil, nil
 	case http.StatusTooManyRequests:
-		return server.JobStatus{}, ErrQueueFull
+		return st, nil, ErrQueueFull
 	case http.StatusServiceUnavailable:
-		return server.JobStatus{}, ErrDraining
+		return st, nil, ErrDraining
 	default:
-		return server.JobStatus{}, apiError("submit", resp)
+		return st, nil, apiError("submit", resp)
 	}
 }
 
@@ -283,9 +300,13 @@ func (c *Client) Result(ctx context.Context, id string) (metrics.Report, error) 
 	return metrics.ReadReport(bytes.NewReader(body))
 }
 
-// Run is the full round trip: submit, wait, fetch. ErrQueueFull is
-// retried with backoff until the context expires, so callers can treat
-// a busy service like a slow one. When the request carries a TimeoutMS
+// Run is the full round trip: submit, wait, fetch. The submission asks
+// for the report inline (server.PreferInline), so a job the service
+// already holds done — a cache hit or a store serve — costs one HTTP
+// request; a job answered done without its report skips the wait, and
+// only a job not yet done is polled. ErrQueueFull is retried with
+// backoff until the context expires, so callers can treat a busy
+// service like a slow one. When the request carries a TimeoutMS
 // and the caller's context has no deadline of its own, Run bounds the
 // whole trip by the job deadline plus grace — the server will fail the
 // job at TimeoutMS anyway, so waiting much longer can only ever observe
@@ -298,9 +319,10 @@ func (c *Client) Run(ctx context.Context, req server.RunRequest) (metrics.Report
 	}
 	backoff := 100 * time.Millisecond
 	var st server.JobStatus
+	var report []byte
 	for {
 		var err error
-		st, err = c.Submit(ctx, req)
+		st, report, err = c.submit(ctx, req, true)
 		if err == nil {
 			break
 		}
@@ -316,8 +338,13 @@ func (c *Client) Run(ctx context.Context, req server.RunRequest) (metrics.Report
 			backoff *= 2
 		}
 	}
-	if _, err := c.Wait(ctx, st.ID); err != nil {
-		return metrics.Report{}, err
+	if report != nil {
+		return metrics.ReadReport(bytes.NewReader(report))
+	}
+	if st.State != server.JobDone {
+		if _, err := c.Wait(ctx, st.ID); err != nil {
+			return metrics.Report{}, err
+		}
 	}
 	return c.Result(ctx, st.ID)
 }
