@@ -20,20 +20,22 @@ import (
 	"repro/internal/config"
 	"repro/internal/faults"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/testutil"
 )
 
-// startChaosService runs a real service (real simulations on the
-// FastTest config, clamped like the e2e tests) with the given fault
-// registry armed. The server handle is returned so tests can start a
-// drain mid-scenario; Shutdown is idempotent, so the cleanup's own
-// drain is safe either way.
-func startChaosService(t *testing.T, reg *faults.Registry) (*Client, *server.Server) {
+// startService runs a real service (real simulations on the FastTest
+// config, clamped like the e2e tests) over st (nil = in-memory) with
+// the given fault registry armed. The server handle is returned so
+// tests can start a drain or a restart mid-scenario; Shutdown is
+// idempotent, so the cleanup's own drain is safe either way.
+func startService(t *testing.T, st store.ResultStore, reg *faults.Registry) (*Client, *server.Server) {
 	t.Helper()
 	s := server.New(server.Options{
 		Workers:   2,
 		QueueSize: 8,
 		Faults:    reg,
+		Store:     st,
 		BaseConfig: func() config.Config {
 			c := config.FastTest()
 			c.MaxWarpInstructions = 128
@@ -42,16 +44,19 @@ func startChaosService(t *testing.T, reg *faults.Registry) (*Client, *server.Ser
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, s) })
 	c := New(ts.URL)
 	c.PollInterval = 2 * time.Millisecond
 	return c, s
+}
+
+func shutdown(t *testing.T, s *server.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
 }
 
 // TestChaosRunMatrix drives Client.Run through the four injected
@@ -63,7 +68,7 @@ func TestChaosRunMatrix(t *testing.T) {
 		testutil.CheckGoroutines(t)
 		reg := faults.New()
 		reg.Arm(server.PointSubmit, faults.Trigger{Fail: true, Times: 2})
-		c, _ := startChaosService(t, reg)
+		c, _ := startService(t, nil, reg)
 
 		rep, err := c.Run(context.Background(), req)
 		if err != nil {
@@ -81,7 +86,7 @@ func TestChaosRunMatrix(t *testing.T) {
 		testutil.CheckGoroutines(t)
 		reg := faults.New()
 		reg.Arm(server.PointExecBegin, faults.Trigger{Panic: true, Times: 1})
-		c, _ := startChaosService(t, reg)
+		c, _ := startService(t, nil, reg)
 
 		_, err := c.Run(context.Background(), req)
 		if err == nil || !strings.Contains(err.Error(), "injected panic") {
@@ -100,7 +105,7 @@ func TestChaosRunMatrix(t *testing.T) {
 		gate := make(chan struct{})
 		reg := faults.New()
 		reg.Arm(server.PointExecBegin, faults.Trigger{Block: gate, Times: 1})
-		c, s := startChaosService(t, reg)
+		c, s := startService(t, nil, reg)
 
 		runErr := make(chan error, 1)
 		go func() {
@@ -137,7 +142,7 @@ func TestChaosRunMatrix(t *testing.T) {
 		gate := make(chan struct{})
 		reg := faults.New()
 		reg.Arm(server.PointExecBegin, faults.Trigger{Block: gate, Times: 1})
-		c, _ := startChaosService(t, reg)
+		c, _ := startService(t, nil, reg)
 		t.Cleanup(func() { close(gate) }) // let the held run finish into the drain
 		c.WaitTimeout = 50 * time.Millisecond
 
@@ -219,7 +224,7 @@ func TestCancelEndToEnd(t *testing.T) {
 	gate := make(chan struct{})
 	reg := faults.New()
 	reg.Arm(server.PointExecBegin, faults.Trigger{Block: gate, Times: 1})
-	c, _ := startChaosService(t, reg)
+	c, _ := startService(t, nil, reg)
 	defer close(gate)
 	ctx := context.Background()
 
