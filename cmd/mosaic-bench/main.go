@@ -28,9 +28,6 @@ import (
 	mosaic "repro"
 	"repro/internal/cliutil"
 	"repro/internal/metrics"
-
-	// Linking a policy package registers it with the policy registry.
-	_ "repro/internal/policies/fifoevict"
 )
 
 // figNames lists every -fig name.

@@ -17,6 +17,7 @@
 //	mosaic-sim -server http://127.0.0.1:8641 -apps HS,CONS -policy mosaic
 //	mosaic-sim -apps HS,CONS -policy all -record-store /var/lib/mosaic/store
 //	mosaic-sim -apps SWP-S,SWP-D -oversub 1.5 -frag 1 -cpuprofile cpu.pprof
+//	mosaic-sim -apps SWP-S,SWP-D -policy fifo-mmu -oversub 2   # Mosaic, FIFO eviction
 package main
 
 import (
@@ -31,10 +32,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/config"
 	"repro/internal/server"
-
-	// Linking a policy package registers it; FIFO-MMU is the out-of-tree
-	// proof policy, selectable as -policy fifo-mmu.
-	_ "repro/internal/policies/fifoevict"
 )
 
 func main() {

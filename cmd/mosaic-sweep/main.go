@@ -29,10 +29,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/server"
-
-	// Linking a policy package registers it; FIFO-MMU is the out-of-tree
-	// proof policy, selectable via -policies fifo-mmu.
-	_ "repro/internal/policies/fifoevict"
 )
 
 func main() {
@@ -69,8 +65,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The registry parser accepts every linked-in policy, so a manager
-	// registered outside internal/core sweeps like a built-in.
 	parsed, err := mosaic.ParsePolicyList(*policies)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -37,10 +37,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/server"
 	"repro/internal/store"
-
-	// Linking a policy package registers it, so RunRequest.Policy
-	// "fifo-mmu" resolves in this daemon.
-	_ "repro/internal/policies/fifoevict"
 )
 
 // faultFlags collects repeated -fault point=action[:arg] specs into a

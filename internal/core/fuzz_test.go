@@ -15,7 +15,7 @@ import (
 // and config knobs: every combination must yield either a working System
 // (which is then driven through allocation, demand paging under a
 // bounded pool, and deallocation) or a typed error — never a panic. This
-// pins the registry's error contract (unknown names wrap
+// pins the policy table's error contract (unknown names wrap
 // ErrUnknownPolicy) and the policy pipeline's robustness to hostile
 // configurations (zero/huge residency budgets, out-of-range compaction
 // thresholds, paging disabled).
@@ -47,7 +47,7 @@ func FuzzPolicyConfig(f *testing.F) {
 		cfg.IOBusEnabled = iobus2
 		opt, err := ResolveOptions(p, cfg)
 		if err != nil {
-			t.Fatalf("ResolveOptions(%v) on a registered policy: %v", p, err)
+			t.Fatalf("ResolveOptions(%v) on a policy the table holds: %v", p, err)
 		}
 		q := &event.Queue{}
 		sys, err := NewSystem(cfg, opt, q, iobus.New(cfg, q), dram.New(cfg, q))

@@ -8,12 +8,12 @@ import (
 	"repro/internal/vmem"
 )
 
-// pagedRig builds a Mosaic system with a bounded residency budget and
-// warms it: one app, a working set larger than the budget, every faulted
-// unit landed. The returned rig has a live pager in steady state.
-func pagedRig(t *testing.T) *testRig {
+// pagedRig builds a system under policy with a bounded residency budget
+// and warms it: one app, a working set larger than the budget, every
+// faulted unit landed. The returned rig has a live pager in steady state.
+func pagedRig(t *testing.T, policy Policy) *testRig {
 	t.Helper()
-	r := newRig(t, Mosaic, func(cfg *config.Config, opt *Options) {
+	r := newRig(t, policy, func(cfg *config.Config, opt *Options) {
 		cfg.MaxResidentPages = 4 * vmem.BasePagesPerLarge // four 2MB frames
 	})
 	if err := r.sys.RegisterApp(1); err != nil {
@@ -35,19 +35,19 @@ func pagedRig(t *testing.T) *testRig {
 }
 
 // TestPolicySeamDispatchAllocFree guards the steady-state cost of the
-// one policy seam, the residency order: once a pager is built, touching
-// an entry and asking for the next victim must not allocate. These
-// interface calls sit on the fault hot path, so a residency policy that
-// allocates per query would show up in every bounded run.
+// one per-policy pager behavior, the residency order: once a pager is
+// built, touching an entry and asking for the next victim must not
+// allocate. These calls sit on the fault hot path, so an order that
+// allocated per query would show up in every bounded run.
 func TestPolicySeamDispatchAllocFree(t *testing.T) {
-	p := pagedRig(t).sys.pager
-	e := p.res.Victim()
+	p := pagedRig(t, Mosaic).sys.pager
+	e := p.res.back()
 	if e == nil {
 		t.Fatal("warm pager has no victim")
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		p.res.Touch(e)
-		if p.res.Victim() == nil {
+		p.touch(e)
+		if p.res.back() == nil {
 			t.Fatal("victim vanished")
 		}
 	}); avg != 0 {
@@ -55,27 +55,30 @@ func TestPolicySeamDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestPagerResidentHitAllocFree guards the pager's warm path: touching an
-// already-resident page goes through ResidencyPolicy.Touch (an intrusive
-// list requeue) and must not allocate.
+// TestPagerResidentHitAllocFree guards the pager's warm path under both
+// victim orders: touching an already-resident page (an intrusive list
+// requeue under LRU, nothing under FIFO) must not allocate.
 func TestPagerResidentHitAllocFree(t *testing.T) {
-	r := pagedRig(t)
-	s := r.sys
-	// Find a resident address: the victim queue's back entry is resident.
-	e := s.pager.res.Victim()
-	if e == nil {
-		t.Fatal("warm pager has no victim")
-	}
-	va := e.VA()
-	if !s.EnsureResident(1<<20, 1, va, nil) {
-		t.Fatal("victim entry not resident")
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if !s.EnsureResident(1<<20, 1, va, nil) {
-			t.Fatal("page fell out of residency during warm loop")
-		}
-	}); avg != 0 {
-		t.Fatalf("resident-hit fault path allocates %.1f objects/op, want 0", avg)
+	for _, policy := range []Policy{Mosaic, FIFOMMU} {
+		t.Run(policy.String(), func(t *testing.T) {
+			s := pagedRig(t, policy).sys
+			// Find a resident address: the victim queue's back entry is resident.
+			e := s.pager.res.back()
+			if e == nil {
+				t.Fatal("warm pager has no victim")
+			}
+			va := e.va
+			if !s.EnsureResident(1<<20, 1, va, nil) {
+				t.Fatal("victim entry not resident")
+			}
+			if avg := testing.AllocsPerRun(200, func() {
+				if !s.EnsureResident(1<<20, 1, va, nil) {
+					t.Fatal("page fell out of residency during warm loop")
+				}
+			}); avg != 0 {
+				t.Fatalf("resident-hit fault path allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -98,42 +101,6 @@ func TestUnboundedResidentHitAllocFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("unbounded resident hit allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-// TestLRUResidencyCloneOrder pins the Clone contract third-party
-// policies must honor: the clone preserves the source's exact victim
-// order over remapped entries (the snapshot-fork byte-identity
-// requirement from docs/ARCHITECTURE.md §6).
-func TestLRUResidencyCloneOrder(t *testing.T) {
-	res := NewLRUResidency()
-	entries := make([]*PageEntry, 4)
-	for i := range entries {
-		entries[i] = &PageEntry{asid: 1, key: uint64(i), pages: 1}
-		res.Insert(entries[i])
-	}
-	res.Touch(entries[0]) // victim order now 1, 2, 3, 0
-	clones := make(map[uint64]*PageEntry, len(entries))
-	for _, e := range entries {
-		clones[e.key] = &PageEntry{asid: e.asid, key: e.key, pages: e.pages}
-	}
-	cl := res.Clone(func(e *PageEntry) *PageEntry { return clones[e.key] })
-	for _, wantKey := range []uint64{1, 2, 3, 0} {
-		v := cl.Victim()
-		if v == nil {
-			t.Fatalf("clone ran out of victims before key %d", wantKey)
-		}
-		if v.Key() != wantKey {
-			t.Fatalf("clone victim key = %d, want %d", v.Key(), wantKey)
-		}
-		if v == entries[wantKey] {
-			t.Fatal("clone returned a source entry instead of its remapped copy")
-		}
-		cl.Remove(v)
-	}
-	// The source policy must be untouched by draining the clone.
-	if v := res.Victim(); v == nil || v.Key() != 1 {
-		t.Fatalf("source policy disturbed by clone drain: victim %+v", v)
 	}
 }
 

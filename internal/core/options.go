@@ -9,13 +9,13 @@
 //     the In-Place Coalescer (§4.3) + CAC (contiguity-aware
 //     compaction, §4.4), with optional in-DRAM bulk-copy (CAC-BC).
 //   - Ideal TLB: an upper bound where every translation hits.
+//   - FIFO-MMU: Mosaic whose bounded page pool evicts in first-fault
+//     order instead of least recently used.
 //
 // The managers share one System implementation parameterized by Options;
 // ablation variants (migrating coalescer, no soft guarantee, forced
 // flush-on-coalesce) use the same knobs.
 package core
-
-import "repro/internal/config"
 
 // Policy selects a paper configuration by name.
 type Policy int
@@ -29,16 +29,18 @@ const (
 	Mosaic
 	// IdealTLB is Mosaic with translation assumed free (all TLB hits).
 	IdealTLB
+	// FIFOMMU is Mosaic evicting in first-fault order under a bounded
+	// page pool.
+	FIFOMMU
 )
 
-// String implements fmt.Stringer: the registered display name
-// ("GPU-MMU", "Mosaic", a third-party policy's name), or "unknown" for
-// unregistered ids. This string is part of every ConfigDigest (Options
-// are hashed with %+v, which invokes String), so registered names are
-// frozen once results exist under them.
+// String implements fmt.Stringer: the table's display name ("GPU-MMU",
+// "Mosaic", ...), or "unknown" for ids outside the table. This string is
+// part of every ConfigDigest (Options are hashed with %+v, which invokes
+// String), so the names are frozen once results exist under them.
 func (p Policy) String() string {
-	if spec, ok := LookupPolicy(p); ok {
-		return spec.Name
+	if r := p.row(); r != nil {
+		return r.name
 	}
 	return "unknown"
 }
@@ -108,16 +110,4 @@ type Options struct {
 	// FlushOnCoalesce forces a full TLB flush after each coalesce — an
 	// ablation of the paper's flush-free transition (§4.3).
 	FlushOnCoalesce bool
-}
-
-// OptionsFor returns the registered configuration for a policy under
-// cfg. Unregistered ids fall back to baseline-like zero options (the
-// pre-registry behavior); callers that want a typed error instead use
-// ResolveOptions.
-func OptionsFor(p Policy, cfg config.Config) Options {
-	o, err := ResolveOptions(p, cfg)
-	if err != nil {
-		return Options{Policy: p, CACThreshold: cfg.CACOccupancyThreshold}
-	}
-	return o
 }

@@ -12,11 +12,11 @@ import (
 // tier and far-faults across the I/O bus on first touch. When
 // Config.MaxResidentPages caps how many 4KB base pages may live in GPU
 // memory at once, faults beyond the budget evict least-recently-used
-// victims back to the remote tier. Victim granularity follows the
-// manager's fault granularity — 4KB pages for the GPU-MMU baseline and
-// Mosaic, whole 2MB frames for the 2MB-only manager (and for Mosaic when
-// the victim belongs to a coalesced region, the thrash-amplification
-// case the paper gestures at in §3.2). Dirty pages write back over the
+// victims (first-faulted ones under FIFO-MMU) back to the remote tier.
+// Victim granularity follows the manager's fault granularity — 4KB pages
+// for the GPU-MMU baseline and Mosaic, whole 2MB frames for the 2MB-only
+// manager (and for Mosaic when the victim belongs to a coalesced region,
+// the thrash-amplification case the paper gestures at in §3.2). Dirty pages write back over the
 // bus before their frame can be reused; the bus is FIFO, so a page-in
 // issued after a write-back queues behind it and the outbound data is on
 // the host before the inbound data lands. Evicted pages re-fault at bus
@@ -46,11 +46,10 @@ const (
 	pagePendingOut
 )
 
-// PageEntry is the pager's record of one paged unit — the value a
-// ResidencyPolicy orders for victim selection. Entries carry intrusive
-// list links so policies built on ResidencyQueue never allocate per
-// operation.
-type PageEntry struct {
+// pageEntry is the pager's record of one paged unit. While resident
+// under a bounded pool it is linked into the pager's residency queue
+// through its own prev/next fields, so queue operations never allocate.
+type pageEntry struct {
 	// The narrow fields come first, so they share one word.
 	asid  vmem.ASID
 	state pageState
@@ -67,27 +66,56 @@ type PageEntry struct {
 	pages   uint64 // base pages covered: 1, or 512 under FaultLarge
 	waiters []func(uint64)
 	// Intrusive residency-queue links (only meaningful while resident).
-	prev, next *PageEntry
+	prev, next *pageEntry
 }
 
-// ASID returns the owning application's address-space id.
-func (e *PageEntry) ASID() vmem.ASID { return e.asid }
+// residencyQueue is the victim order of a bounded pager: an intrusive
+// doubly linked list of resident entries around a sentinel. Entries join
+// at the front and the victim is the back; under LRU a touch moves its
+// entry back to the front, under FIFO it leaves it in place. The zero
+// value is empty; a queue must not be copied after first use.
+type residencyQueue struct {
+	sent pageEntry
+}
 
-// Key returns the paged unit's fault key (base or large page number,
-// per the policy's fill granularity).
-func (e *PageEntry) Key() uint64 { return e.key }
+// pushFront links e at the front of the queue.
+func (q *residencyQueue) pushFront(e *pageEntry) {
+	if q.sent.next == nil {
+		q.sent.next, q.sent.prev = &q.sent, &q.sent
+	}
+	e.prev = &q.sent
+	e.next = q.sent.next
+	e.prev.next = e
+	e.next.prev = e
+}
 
-// VA returns the base-page-aligned virtual address of the unit's last
-// fault.
-func (e *PageEntry) VA() vmem.VirtAddr { return e.va }
+// remove unlinks e; entries that are not linked are ignored.
+func (q *residencyQueue) remove(e *pageEntry) {
+	if e.prev == nil {
+		return
+	}
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+}
 
-// Pages returns how many base pages the unit covers (1, or 512 under
-// large-page fill).
-func (e *PageEntry) Pages() uint64 { return e.pages }
+// back returns the victim, the last entry, or nil when the queue is
+// empty. It only reads the queue (a never-used queue's links are nil),
+// so concurrent forks may clone one source pager.
+func (q *residencyQueue) back() *pageEntry {
+	if q.sent.prev == &q.sent {
+		return nil
+	}
+	return q.sent.prev
+}
 
-// Dirty reports whether the unit has been written since it became
-// resident (and so owes a write-back on eviction).
-func (e *PageEntry) Dirty() bool { return e.dirty }
+// cloneInto links remap(e) into the empty queue dst for every entry e of
+// q, in q's order, so dst yields the same victims as q.
+func (q *residencyQueue) cloneInto(dst *residencyQueue, remap func(*pageEntry) *pageEntry) {
+	for e := q.back(); e != nil && e != &q.sent; e = e.prev {
+		dst.pushFront(remap(e))
+	}
+}
 
 // pager moves every paged unit between the remote tier and GPU memory.
 // The System builds one whenever demand paging is on; its entries live in
@@ -99,17 +127,18 @@ type pager struct {
 	budget uint64
 	used   uint64 // base pages resident or committed to pending faults
 	// queued is the FIFO admission queue of faults waiting for capacity.
-	queued []*PageEntry
-	// res orders resident entries for victim selection (the policy's
-	// ResidencyPolicy; LRU by default).
-	res ResidencyPolicy
+	queued []*pageEntry
+	// res orders resident entries for victim selection; fifo (the
+	// policy's table row) keeps a touch from requeueing its entry.
+	res  residencyQueue
+	fifo bool
 
 	// waiterFree holds emptied waiter slices. An entry takes one when it
 	// faults and gives it back after its waiters fired, so only units
 	// with a fault in flight hold a slice.
 	waiterFree [][]func(uint64)
 	// group is evict's scratch list of the entries one eviction moves.
-	group []*PageEntry
+	group []*pageEntry
 	// wbFree pools the records dirty write-backs complete through.
 	wbFree []*writeBack
 	// landFree pools the records page-ins complete through.
@@ -120,7 +149,7 @@ type pager struct {
 // and its bus completion bound once per pooled record.
 type landing struct {
 	p  *pager
-	e  *PageEntry
+	e  *pageEntry
 	fn func(uint64)
 }
 
@@ -128,7 +157,7 @@ type landing struct {
 // entries it moves, and its bus completion bound once per pooled record.
 type writeBack struct {
 	p     *pager
-	group []*PageEntry
+	group []*pageEntry
 	fn    func(uint64)
 }
 
@@ -138,20 +167,22 @@ const entryChunk = 64
 
 // newEntry makes the record of one paged unit of a, carved from a's
 // current chunk.
-func (a *appState) newEntry(asid vmem.ASID, key, pages uint64) *PageEntry {
+func (a *appState) newEntry(asid vmem.ASID, key, pages uint64) *pageEntry {
 	if len(a.spare) == 0 {
-		a.spare = make([]PageEntry, entryChunk)
+		a.spare = make([]pageEntry, entryChunk)
 	}
 	e := &a.spare[0]
 	a.spare = a.spare[1:]
-	*e = PageEntry{asid: asid, key: key, pages: pages}
+	*e = pageEntry{asid: asid, key: key, pages: pages}
 	return e
 }
 
 // newPager builds s's pager. The ideal TLB stands in for a system free of
-// memory-management limits, so it is exempt from the residency bound.
+// memory-management limits, so it is exempt from the residency bound. An
+// id outside the policy table (a MutateManager may set one) evicts LRU.
 func newPager(s *System) *pager {
-	p := &pager{s: s, budget: math.MaxUint64, res: residencyFor(s.opt.Policy)()}
+	r := s.opt.Policy.row()
+	p := &pager{s: s, budget: math.MaxUint64, fifo: r != nil && r.fifo}
 	if s.cfg.MaxResidentPages > 0 && !s.opt.Bypass {
 		p.budget = s.cfg.MaxResidentPages
 	}
@@ -166,20 +197,20 @@ func (p *pager) bounded() bool { return p.budget != math.MaxUint64 }
 // pager to be quiescent — an empty admission queue and no entries in the
 // queued/pending-in/pending-out states, since transfers in flight hold
 // waiter closures bound to the source simulator — and panics otherwise.
-// Entries are duplicated into ns's tables and the residency policy is
-// cloned over the copies in the exact victim order of the source, so the
-// fork's next eviction picks the same victim the source would have.
+// Entries are duplicated into ns's tables and the residency queue is
+// rebuilt over the copies in the exact victim order of the source, so
+// the fork's next eviction picks the same victim the source would have.
 func (p *pager) clone(ns *System) *pager {
 	if len(p.queued) != 0 {
 		panic(fmt.Sprintf("core: pager clone with %d queued faults", len(p.queued)))
 	}
-	np := &pager{s: ns, budget: p.budget, used: p.used}
+	np := &pager{s: ns, budget: p.budget, used: p.used, fifo: p.fifo}
 	for asid, a := range p.s.apps {
 		if a == nil {
 			continue
 		}
 		na := ns.apps[asid]
-		na.units, na.unitBase = make([]*PageEntry, len(a.units)), a.unitBase
+		na.units, na.unitBase = make([]*pageEntry, len(a.units)), a.unitBase
 		for i, e := range a.units {
 			if e == nil {
 				continue
@@ -196,10 +227,20 @@ func (p *pager) clone(ns *System) *pager {
 			na.units[i] = ne
 		}
 	}
-	np.res = p.res.Clone(func(e *PageEntry) *PageEntry {
+	p.res.cloneInto(&np.res, func(e *pageEntry) *pageEntry {
 		return ns.apps[e.asid].unit(e.key)
 	})
 	return np
+}
+
+// touch records an access to the resident entry e: under LRU it moves e
+// to the front of the victim order, under FIFO the order stays as e's
+// fault left it.
+func (p *pager) touch(e *pageEntry) {
+	if !p.fifo {
+		p.res.remove(e)
+		p.res.pushFront(e)
+	}
 }
 
 // pageDirty deterministically decides whether a page gets written while
@@ -222,7 +263,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 		switch e.state {
 		case pageResident:
 			if p.bounded() {
-				p.res.Touch(e)
+				p.touch(e)
 			}
 			return true
 		case pageQueued, pagePendingIn:
@@ -272,7 +313,7 @@ func (p *pager) ensureResident(now uint64, a *appState, asid vmem.ASID, va vmem.
 
 // issue commits an admitted fault's budget and puts its transfer on the
 // bus. The caller has already verified the pages fit.
-func (p *pager) issue(now uint64, e *PageEntry) {
+func (p *pager) issue(now uint64, e *pageEntry) {
 	s := p.s
 	p.used += e.pages
 	if p.bounded() && p.used > s.stats.PeakResidentPages {
@@ -316,14 +357,14 @@ func (l *landing) landed(cycle uint64) {
 // land completes e's page-in: the unit becomes resident (unless its range
 // was freed meanwhile), the admission queue gets another chance, and the
 // faults waiting on e fire in arrival order.
-func (p *pager) land(e *PageEntry, cycle uint64) {
+func (p *pager) land(e *pageEntry, cycle uint64) {
 	waiters := e.waiters
 	e.waiters = nil
 	if !e.freed {
 		e.state = pageResident
 		e.dirty = pageDirty(e.asid, e.key)
 		if p.bounded() { // only a bounded pager ever asks for a victim
-			p.res.Insert(e)
+			p.res.pushFront(e)
 		}
 	}
 	// The landed page is evictable, so capacity may now exist for
@@ -376,7 +417,7 @@ func (p *pager) admit(now uint64) {
 // pages fit in the budget, stopping early when nothing is resident.
 func (p *pager) ensureCapacity(now uint64, pages uint64) {
 	for p.used+pages > p.budget {
-		victim := p.res.Victim()
+		victim := p.res.back()
 		if victim == nil {
 			return // nothing resident to evict
 		}
@@ -391,7 +432,7 @@ func (p *pager) ensureCapacity(now uint64, pages uint64) {
 // one large write-back if any page is dirty. Residency is a tier below
 // translation: the mapping and coalesced status survive; only the data
 // moves, and it faults back page by page.
-func (p *pager) evict(now uint64, victim *PageEntry) {
+func (p *pager) evict(now uint64, victim *pageEntry) {
 	s := p.s
 	a := s.apps[victim.asid]
 	group := append(p.group[:0], victim)
@@ -423,7 +464,7 @@ func (p *pager) evict(now uint64, victim *PageEntry) {
 		if e.dirty {
 			dirty = true
 		}
-		p.res.Remove(e)
+		p.res.remove(e)
 		p.used -= e.pages
 		s.stats.EvictedPages += e.pages
 		e.evicted = true
@@ -488,7 +529,7 @@ func (p *pager) release(a *appState, key uint64) {
 		p.used -= e.pages
 	}
 	e.freed = true
-	p.res.Remove(e)
+	p.res.remove(e)
 	a.units[key-a.unitBase] = nil
 }
 

@@ -1,4 +1,4 @@
-package core_test
+package core
 
 import (
 	"math/rand"
@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/event"
 	"repro/internal/iobus"
-	"repro/internal/policies/fifoevict"
 	"repro/internal/vmem"
 )
 
@@ -48,76 +46,80 @@ func (r *refResidency[T]) victim() (T, bool) {
 	return r.order[0], true
 }
 
-// residencyOrders are the residency policies in the tree, each with the
+// residencyOrders are the pager's two victim orders, each with the
 // reference behavior it must match.
 var residencyOrders = []struct {
 	name string
 	fifo bool
-	make func() core.ResidencyPolicy
 }{
-	{"lru", false, core.NewLRUResidency},
-	{"fifo", true, fifoevict.NewResidency},
+	{"lru", false},
+	{"fifo", true},
 }
 
-// TestResidencyMatchesSliceReference drives random Insert, Touch,
-// Remove, Victim and Clone sequences through each residency policy and
-// through the slice reference, and demands the same victim after every
-// operation. Victims are popped the way the pager pops them (Victim then
-// Remove), and Clone switches both sides to fresh entries mid-sequence.
+// TestResidencyMatchesSliceReference drives random insert, touch,
+// remove, victim and clone sequences through a pager's residency queue,
+// in each order, and through the slice reference, and demands the same
+// victim after every operation. Operations go through the pager's own
+// calls: pushFront on landing, touch on a resident hit, remove, back for
+// the victim (popped as the pager pops it) and cloneInto, which switches
+// both sides to fresh entries mid-sequence.
 func TestResidencyMatchesSliceReference(t *testing.T) {
 	for _, ord := range residencyOrders {
 		t.Run(ord.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
-				checkResidencyProgram(t, seed, ord.fifo, ord.make())
+				checkResidencyProgram(t, seed, ord.fifo)
 			}
 		})
 	}
 }
 
-func checkResidencyProgram(t *testing.T, seed int64, fifo bool, impl core.ResidencyPolicy) {
+func checkResidencyProgram(t *testing.T, seed int64, fifo bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	entries := make([]*core.PageEntry, 24)
+	p := &pager{fifo: fifo}
+	entries := make([]*pageEntry, 24)
 	for i := range entries {
-		entries[i] = &core.PageEntry{}
+		entries[i] = &pageEntry{}
 	}
-	tracked := make(map[*core.PageEntry]bool)
-	ref := &refResidency[*core.PageEntry]{fifo: fifo}
+	tracked := make(map[*pageEntry]bool)
+	ref := &refResidency[*pageEntry]{fifo: fifo}
 	pops := 0
 	for step := 0; step < 4000; step++ {
 		e := entries[rng.Intn(len(entries))]
 		switch op := rng.Intn(20); {
 		case op < 6:
 			if !tracked[e] {
-				impl.Insert(e)
+				p.res.pushFront(e)
 				ref.insert(e)
 				tracked[e] = true
 			}
 		case op < 13:
 			if tracked[e] {
-				impl.Touch(e)
+				p.touch(e)
 				ref.touch(e)
 			}
 		case op < 15:
-			// Remove tolerates untracked entries.
-			impl.Remove(e)
+			// remove tolerates untracked entries.
+			p.res.remove(e)
 			ref.remove(e)
 			delete(tracked, e)
 		case op < 19:
 			if v, ok := ref.victim(); ok {
-				impl.Remove(v)
+				p.res.remove(v)
 				ref.remove(v)
 				delete(tracked, v)
 				pops++
 			}
 		default:
-			copies := make(map[*core.PageEntry]*core.PageEntry, len(entries))
+			copies := make(map[*pageEntry]*pageEntry, len(entries))
 			for i, old := range entries {
-				entries[i] = &core.PageEntry{}
+				entries[i] = &pageEntry{}
 				copies[old] = entries[i]
 			}
-			impl = impl.Clone(func(old *core.PageEntry) *core.PageEntry { return copies[old] })
-			remapped := make(map[*core.PageEntry]bool, len(tracked))
+			np := &pager{fifo: p.fifo}
+			p.res.cloneInto(&np.res, func(old *pageEntry) *pageEntry { return copies[old] })
+			p = np
+			remapped := make(map[*pageEntry]bool, len(tracked))
 			for old := range tracked {
 				remapped[copies[old]] = true
 			}
@@ -127,7 +129,7 @@ func checkResidencyProgram(t *testing.T, seed int64, fifo bool, impl core.Reside
 			}
 		}
 		want, _ := ref.victim()
-		if got := impl.Victim(); got != want {
+		if got := p.res.back(); got != want {
 			t.Fatalf("seed %d step %d: victim %p, reference %p", seed, step, got, want)
 		}
 	}
@@ -136,77 +138,92 @@ func checkResidencyProgram(t *testing.T, seed int64, fifo bool, impl core.Reside
 	}
 }
 
-// victimLog wraps a residency policy and records the key of every victim
-// the pager asks for; the pager evicts each one it is given.
-type victimLog struct {
-	core.ResidencyPolicy
-	keys *[]uint64
-}
-
-func (v victimLog) Victim() *core.PageEntry {
-	e := v.ResidencyPolicy.Victim()
-	if e != nil {
-		*v.keys = append(*v.keys, e.Key())
-	}
-	return e
-}
-
-// pagerVictims collects the victim keys of the current pager program.
-var pagerVictims []uint64
-
-// oracleManagers are the managers the pager programs run under: GPU-MMU
-// (4KB faults, no coalescing, so every eviction moves exactly one page)
-// and Mosaic (4KB faults, but a victim inside a coalesced region takes
-// its whole 2MB frame).
-var oracleManagers = []core.Policy{core.GPUMMU4K, core.Mosaic}
-
-// oraclePolicies[m][o] registers oracleManagers[m]'s options with
-// residencyOrders[o], the order wrapped in a victimLog.
-var oraclePolicies = func() [][]core.Policy {
-	var ids [][]core.Policy
-	for _, m := range oracleManagers {
-		var row []core.Policy
-		for _, ord := range residencyOrders {
-			m, ord := m, ord
-			name := "oracle-" + m.String() + "-" + ord.name
-			row = append(row, core.MustRegisterPolicy(core.PolicySpec{
-				Name: name, Wire: name,
-				Options: func(cfg config.Config) core.Options { return core.OptionsFor(m, cfg) },
-				Residency: func() core.ResidencyPolicy {
-					return victimLog{ResidencyPolicy: ord.make(), keys: &pagerVictims}
-				},
-			}))
+// TestFIFOOrder pins FIFO-MMU's order: victims come out in insertion
+// order and a touch changes nothing (unlike LRU, a re-referenced page
+// stays first in line for eviction).
+func TestFIFOOrder(t *testing.T) {
+	p := &pager{fifo: FIFOMMU.row().fifo}
+	a, b, c := &pageEntry{}, &pageEntry{}, &pageEntry{}
+	p.res.pushFront(a)
+	p.res.pushFront(b)
+	p.res.pushFront(c)
+	p.touch(a) // must NOT move a out of the victim slot
+	for _, want := range []*pageEntry{a, b, c} {
+		v := p.res.back()
+		if v != want {
+			t.Fatalf("victim order broke FIFO: got %p, want %p", v, want)
 		}
-		ids = append(ids, row)
+		p.res.remove(v)
 	}
-	return ids
-}()
+	if p.res.back() != nil {
+		t.Fatal("drained queue still yields a victim")
+	}
+}
+
+// TestCloneOrder pins the fork contract of both orders: a cloned queue
+// replays the source's victim order over remapped entries, and draining
+// it leaves the source untouched.
+func TestCloneOrder(t *testing.T) {
+	for _, ord := range residencyOrders {
+		p := &pager{fifo: ord.fifo}
+		src := []*pageEntry{{key: 0}, {key: 1}, {key: 2}, {key: 3}}
+		remap := map[*pageEntry]*pageEntry{}
+		for _, e := range src {
+			p.res.pushFront(e)
+			remap[e] = &pageEntry{key: e.key}
+		}
+		p.touch(src[0])
+		want := []*pageEntry{src[1], src[2], src[3], src[0]} // LRU
+		if ord.fifo {
+			want = src
+		}
+		var cl residencyQueue
+		p.res.cloneInto(&cl, func(e *pageEntry) *pageEntry { return remap[e] })
+		for _, w := range want {
+			if v := cl.back(); v != remap[w] {
+				t.Fatalf("%s: clone victim %+v, want the copy of key %d", ord.name, v, w.key)
+			}
+			cl.remove(cl.back())
+		}
+		if v := cl.back(); v != nil {
+			t.Fatalf("%s: drained clone still yields key %d", ord.name, v.key)
+		}
+		if v := p.res.back(); v != want[0] {
+			t.Fatalf("%s: source disturbed by clone drain: victim %+v, want key %d", ord.name, v, want[0].key)
+		}
+	}
+}
 
 // TestPagerVictimsMatchSliceReference drives random fault and free
-// programs through a bounded GPU-MMU System and through the slice
-// reference under the same budget, and demands identical victims and
-// resident sets after every operation. Each fault lands before the next
-// operation, so the pager's resident set is exactly the reference's list.
+// programs through a bounded GPU-MMU System (4KB faults, no coalescing,
+// so every eviction moves exactly one page) and through the slice
+// reference under the same budget, and demands identical victim orders
+// and resident sets after every operation. Each fault lands before the
+// next operation, so the pager's resident set is exactly the reference's
+// list.
 func TestPagerVictimsMatchSliceReference(t *testing.T) {
-	sequences := checkPagerPrograms(t, 0)
+	sequences := checkPagerPrograms(t, GPUMMU4K)
 	if slices.Equal(sequences[0], sequences[1]) {
 		t.Error("LRU and FIFO evicted the same pages: the programs never exercise recency")
 	}
 }
 
 // TestPagerGroupEvictionMatchesSliceReference runs the same programs
-// under Mosaic. The working set is whole 2MB regions, which coalesce, and
-// the reference applies the group rule: when Translate reports a large
-// mapping for the victim, its resident siblings leave with it.
+// under Mosaic (4KB faults, but a victim inside a coalesced region takes
+// its whole 2MB frame). The working set is whole 2MB regions, which
+// coalesce, and the reference applies the group rule: when Translate
+// reports a large mapping for the victim, its resident siblings leave
+// with it.
 func TestPagerGroupEvictionMatchesSliceReference(t *testing.T) {
-	checkPagerPrograms(t, 1)
+	checkPagerPrograms(t, Mosaic)
 }
 
 // checkPagerPrograms runs three seeds of the pager program for each
-// residency order under oracleManagers[m], and returns each order's
-// victims for seed 1. Whole-frame group evictions must occur exactly
-// when the manager coalesces.
-func checkPagerPrograms(t *testing.T, m int) [][]uint64 {
+// residency order under manager m's options, and returns each order's
+// victims for seed 1. The programs set the order on the pager directly,
+// because the table pairs FIFO only with Mosaic's options. Whole-frame
+// group evictions must occur exactly when the manager coalesces.
+func checkPagerPrograms(t *testing.T, m Policy) [][]uint64 {
 	const budget = vmem.BasePagesPerLarge // the smallest legal bound
 	const pages = 3 * budget
 	sequences := make([][]uint64, len(residencyOrders))
@@ -214,7 +231,7 @@ func checkPagerPrograms(t *testing.T, m int) [][]uint64 {
 		t.Run(ord.name, func(t *testing.T) {
 			groups := 0
 			for seed := int64(1); seed <= 3; seed++ {
-				victims, g := runPagerProgram(t, seed, oraclePolicies[m][o], budget, pages, ord.fifo)
+				victims, g := runPagerProgram(t, seed, m, ord.fifo, budget, pages)
 				if len(victims) == 0 {
 					t.Fatalf("seed %d: program evicted nothing", seed)
 				}
@@ -223,8 +240,8 @@ func checkPagerPrograms(t *testing.T, m int) [][]uint64 {
 					sequences[o] = victims
 				}
 			}
-			if coalescing := oracleManagers[m] == core.Mosaic; (groups > 0) != coalescing {
-				t.Errorf("%d whole-frame group evictions under %v", groups, oracleManagers[m])
+			if coalescing := m == Mosaic; (groups > 0) != coalescing {
+				t.Errorf("%d whole-frame group evictions under %v", groups, m)
 			}
 		})
 	}
@@ -233,28 +250,31 @@ func checkPagerPrograms(t *testing.T, m int) [][]uint64 {
 
 // runPagerProgram runs one random program on a one-app System bounded
 // to budget pages, checking it against the reference after every
-// operation, and returns the victim keys and how many evictions took
-// more than one page. Touches favor a small hot set so recency matters;
-// frees and re-allocations of single pages exercise Remove.
+// operation, and returns the reference's victim keys and how many
+// evictions took more than one page. Touches favor a small hot set so
+// recency matters; frees and re-allocations of single pages exercise
+// remove. The pager's whole victim order must equal the reference's
+// after every operation, so each victim it takes is the reference's.
 //
 // The resident set is checked by induction: each operation can only add
 // the touched page and remove what the reference evicted or freed, so
 // equal resident counts, the touched page resident and every removed
 // page gone mean equal sets. A full comparison every 256 steps backs it.
-func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages uint64, fifo bool) (victims []uint64, groups int) {
+func runPagerProgram(t *testing.T, seed int64, policy Policy, fifo bool, budget, pages uint64) (victims []uint64, groups int) {
 	t.Helper()
 	cfg := config.Default()
 	cfg.TotalDRAMBytes = 256 << 20
 	cfg.MaxResidentPages = budget
-	opt, err := core.ResolveOptions(policy, cfg)
+	opt, err := ResolveOptions(policy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := &event.Queue{}
-	sys, err := core.NewSystem(cfg, opt, q, iobus.New(cfg, q), dram.New(cfg, q))
+	sys, err := NewSystem(cfg, opt, q, iobus.New(cfg, q), dram.New(cfg, q))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.pager.fifo = fifo
 	const asid = 1
 	if err := sys.RegisterApp(asid); err != nil {
 		t.Fatal(err)
@@ -262,7 +282,6 @@ func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages
 	if err := sys.AllocVirtual(0, asid, 0, pages*vmem.BasePageSize); err != nil {
 		t.Fatal(err)
 	}
-	pagerVictims = pagerVictims[:0]
 	rng := rand.New(rand.NewSource(seed))
 	ref := &refResidency[uint64]{fifo: fifo}
 	resident := make([]bool, pages)
@@ -334,9 +353,9 @@ func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages
 		}
 		now++
 
-		if !slices.Equal(pagerVictims, victims) {
-			t.Fatalf("seed %d step %d: pager victims diverge from the reference (pager %d, reference %d)",
-				seed, step, len(pagerVictims), len(victims))
+		if !victimOrderIs(sys.pager, ref.order) {
+			t.Fatalf("seed %d step %d: pager victim order diverges from the reference (after %d reference victims)",
+				seed, step, len(victims))
 		}
 		if got := sys.ResidentPages(); got != uint64(len(ref.order)) {
 			t.Fatalf("seed %d step %d: %d pages resident, reference %d", seed, step, got, len(ref.order))
@@ -358,4 +377,17 @@ func runPagerProgram(t *testing.T, seed int64, policy core.Policy, budget, pages
 		}
 	}
 	return victims, groups
+}
+
+// victimOrderIs reports whether p's residency queue, victim first, holds
+// exactly the entries keyed by order.
+func victimOrderIs(p *pager, order []uint64) bool {
+	e := p.res.back()
+	for _, k := range order {
+		if e == nil || e == &p.res.sent || e.key != k {
+			return false
+		}
+		e = e.prev
+	}
+	return e == nil || e == &p.res.sent
 }

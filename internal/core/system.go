@@ -65,10 +65,10 @@ type appState struct {
 	table *pagetable.PageTable
 	// units[i] is the pager's entry of fault key unitBase+i (nil: never
 	// faulted, or freed). An app's VA range is contiguous, so it is dense.
-	units    []*PageEntry
+	units    []*pageEntry
 	unitBase uint64
 	// spare is the unused rest of the chunk new entries are carved from.
-	spare     []PageEntry
+	spare     []pageEntry
 	liveBytes uint64
 	// pagesPerFrame counts this app's mapped base pages per large frame,
 	// for footprint/bloat accounting.
@@ -76,7 +76,7 @@ type appState struct {
 }
 
 // unit returns the pager entry of fault key key, or nil.
-func (a *appState) unit(key uint64) *PageEntry {
+func (a *appState) unit(key uint64) *pageEntry {
 	if i := key - a.unitBase; i < uint64(len(a.units)) {
 		return a.units[i]
 	}
@@ -86,12 +86,12 @@ func (a *appState) unit(key uint64) *PageEntry {
 // setUnit stores e as key's entry, growing the table to cover key. A
 // downward growth at least doubles the table, so a run of ever lower keys
 // copies it only logarithmically often.
-func (a *appState) setUnit(key uint64, e *PageEntry) {
+func (a *appState) setUnit(key uint64, e *pageEntry) {
 	if len(a.units) == 0 {
 		a.unitBase = key
 	} else if key < a.unitBase {
 		shift := min(max(a.unitBase-key, uint64(len(a.units))), a.unitBase)
-		a.units = append(make([]*PageEntry, shift, shift+uint64(len(a.units))), a.units...)
+		a.units = append(make([]*pageEntry, shift, shift+uint64(len(a.units))), a.units...)
 		a.unitBase -= shift
 	}
 	// Grow one slot at a time: append(units, make(...)...) allocates the

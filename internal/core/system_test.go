@@ -21,7 +21,10 @@ func newRig(t *testing.T, policy Policy, mutate func(*config.Config, *Options)) 
 	t.Helper()
 	cfg := config.Default()
 	cfg.TotalDRAMBytes = 256 << 20 // keep pools small for tests
-	opt := OptionsFor(policy, cfg)
+	opt, err := ResolveOptions(policy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mutate != nil {
 		mutate(&cfg, &opt)
 	}

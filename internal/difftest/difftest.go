@@ -1,16 +1,15 @@
 // Package difftest is the differential golden harness for the policy
-// registry: it replays pinned RunRecord fixtures through the
-// registry-resolved managers across the {policy × oversub ×
-// snapshot-fork × jobs} matrix and fails on the first non-identical
-// byte. Two sets of fixtures are ground truth. The mixed and
-// oversubscribed workloads under internal/metrics/testdata were recorded
-// before the registry existed; this package must never regenerate them.
-// Its own testdata holds the out-of-tree FIFO-MMU cell and the §6.4
-// ablation cells (CAC-BC, Ideal CAC, the migrating coalescer,
-// flush-on-coalesce), each recorded before the code that runs it was
-// last restructured; `go test -update` rewrites only those. A diff here
-// means a refactor (or a later policy change) altered simulation
-// behavior.
+// table: it replays pinned RunRecord fixtures through the table-resolved
+// managers across the {policy × oversub × snapshot-fork × jobs} matrix
+// and fails on the first non-identical byte. Two sets of fixtures are
+// ground truth. The mixed and oversubscribed workloads under
+// internal/metrics/testdata were recorded before the policy table
+// existed; this package must never regenerate them. Its own testdata
+// holds the FIFO-MMU cell and the §6.4 ablation cells (CAC-BC, Ideal
+// CAC, the migrating coalescer, flush-on-coalesce), each recorded before
+// the code that runs it was last restructured; `go test -update`
+// rewrites only those. A diff here means a refactor (or a later policy
+// change) altered simulation behavior.
 package difftest
 
 import (
@@ -22,10 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
-
-	// The out-of-tree FIFO policy is part of the differential matrix: it
-	// must run end-to-end through the same registry the built-ins use.
-	_ "repro/internal/policies/fifoevict"
 )
 
 // Fixture is one cell of the differential matrix: a pinned workload,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/policies/fifoevict"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -31,13 +30,13 @@ func metricsGolden(t *testing.T, slug string) []byte {
 	return b
 }
 
-// fifoFixture is the difftest-owned matrix cell for the out-of-tree
-// FIFO-MMU policy: the same oversubscribed workload as the pinned
+// fifoFixture is the difftest-owned matrix cell for the FIFO-MMU
+// policy: the same oversubscribed workload as the pinned
 // oversub-2x cells, so its victim schedule is directly comparable to
 // Mosaic's LRU one.
 func fifoFixture() Fixture {
 	return Fixture{
-		Slug: "oversub-2x-fifo", Policy: fifoevict.PolicyID,
+		Slug: "oversub-2x-fifo", Policy: core.FIFOMMU,
 		Apps: []string{"SWP-S", "SWP-D"}, MaxWarpInstructions: 1024,
 		Oversub: 2,
 	}
@@ -98,9 +97,9 @@ func ownedGolden(t *testing.T, fx Fixture) []byte {
 }
 
 // TestDifferentialMatrix replays every pinned fixture through the
-// registry-dispatched policies and demands the RunRecord bytes match the
+// table-resolved policies and demands the RunRecord bytes match the
 // pre-refactor goldens exactly. This is the headline proof that
-// resolving managers through the registry changed nothing: same
+// resolving managers through the policy table changed nothing: same
 // schedule, same counters, same digest, byte for byte. Its shards=1 and shards=4
 // subtests check that a request carrying the deprecated Shards field
 // (the values older clients sent) still maps to that golden.
@@ -121,7 +120,7 @@ func TestDifferentialMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("registry-dispatched %s is not byte-identical to the pinned golden;\n"+
+				t.Errorf("table-resolved %s is not byte-identical to the pinned golden;\n"+
 					"the policy pipeline no longer reproduces pre-refactor behavior.\ngot:\n%s", fx.Slug, got)
 			}
 			for _, shards := range []int{1, 4} {
@@ -146,16 +145,12 @@ func checkLegacyShards(t *testing.T, fx Fixture, golden []byte, shards int) {
 	if err := json.Unmarshal(golden, &rec); err != nil {
 		t.Fatal(err)
 	}
-	spec, ok := core.LookupPolicy(fx.Policy)
-	if !ok {
-		t.Fatalf("policy %v is not registered", fx.Policy)
-	}
 	base := func() config.Config {
 		cfg := config.FastTest()
 		cfg.MaxWarpInstructions = fx.MaxWarpInstructions
 		return cfg
 	}
-	req := server.RunRequest{Apps: fx.Apps, Policy: spec.Wire, Seed: Seed, Oversub: fx.Oversub}
+	req := server.RunRequest{Apps: fx.Apps, Policy: fx.Policy.Wire(), Seed: Seed, Oversub: fx.Oversub}
 	plain, err := server.StoreKey(base, req)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +215,8 @@ func TestDifferentialMatrixJobs(t *testing.T) {
 
 // TestSnapshotForkDifferential pins the snapshot-fork axis: a two-phase
 // plan run cold must be byte-identical to the same plan forked from a
-// warmed snapshot, for built-ins and for the out-of-tree FIFO policy
-// (whose ResidencyPolicy.Clone participates in the fork).
+// warmed snapshot, for every manager including FIFO-MMU (whose
+// first-fault victim order the pager clone must carry into the fork).
 func TestSnapshotForkDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is long under -short")
@@ -313,7 +308,7 @@ func TestAblationGoldens(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyDiffers pins the out-of-tree policy's own golden and
+// TestFIFOPolicyDiffers pins FIFO-MMU's own golden and
 // proves it is a genuinely different manager: its record must differ
 // from Mosaic's on the identical workload, and its digest identity must
 // be distinct.
@@ -335,7 +330,7 @@ func TestFIFOPolicyDiffers(t *testing.T) {
 		t.Errorf("FIFO-MMU record deviates from its golden:\n%s", got)
 	}
 	if mosaicGolden := metricsGolden(t, "oversub-2x-mosaic"); bytes.Equal(want, mosaicGolden) {
-		t.Error("FIFO-MMU record is identical to Mosaic's: the residency seam is not being dispatched")
+		t.Error("FIFO-MMU record is identical to Mosaic's: the pager is not evicting in FIFO order")
 	}
 	if dFifo, dMosaic := sim.Digest(cfg, fx.SimOptions()),
 		sim.Digest(cfg, sim.Options{Policy: core.Mosaic, Seed: Seed}); dFifo == dMosaic {
@@ -343,8 +338,8 @@ func TestFIFOPolicyDiffers(t *testing.T) {
 	}
 }
 
-// TestDigestsDistinctAcrossPolicies proves every registered policy keeps
-// a distinct ConfigDigest under one configuration — registry names feed
+// TestDigestsDistinctAcrossPolicies proves every policy in the table
+// keeps a distinct ConfigDigest under one configuration — table names feed
 // the digest exactly like the old enum's String() did.
 func TestDigestsDistinctAcrossPolicies(t *testing.T) {
 	fx := fifoFixture()
@@ -356,7 +351,7 @@ func TestDigestsDistinctAcrossPolicies(t *testing.T) {
 	for _, wire := range core.PolicyNames() {
 		p, err := core.ParsePolicy(wire)
 		if err != nil {
-			t.Fatalf("registry lists %q but ParsePolicy rejects it: %v", wire, err)
+			t.Fatalf("PolicyNames lists %q but ParsePolicy rejects it: %v", wire, err)
 		}
 		d := sim.Digest(cfg, sim.Options{Policy: p, Seed: Seed})
 		if prev, dup := seen[d]; dup {
@@ -366,8 +361,8 @@ func TestDigestsDistinctAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestUnknownPolicyIsTypedError pins the error contract: an unregistered
-// policy id surfaces core.ErrUnknownPolicy from the simulator
+// TestUnknownPolicyIsTypedError pins the error contract: a policy id
+// outside the table surfaces core.ErrUnknownPolicy from the simulator
 // constructor instead of silently running baseline-like options (or
 // panicking).
 func TestUnknownPolicyIsTypedError(t *testing.T) {
@@ -378,6 +373,6 @@ func TestUnknownPolicyIsTypedError(t *testing.T) {
 	}
 	_, err = sim.New(cfg, wl, sim.Options{Policy: core.Policy(97), Seed: Seed})
 	if !errors.Is(err, core.ErrUnknownPolicy) {
-		t.Fatalf("sim.New with unregistered policy: got %v, want core.ErrUnknownPolicy", err)
+		t.Fatalf("sim.New with a policy id outside the table: got %v, want core.ErrUnknownPolicy", err)
 	}
 }

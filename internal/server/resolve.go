@@ -128,8 +128,7 @@ func Resolve(base func() config.Config, req RunRequest) (Plan, error) {
 
 // ParsePolicy maps a wire policy name (the mosaic-sim -policy values) to
 // the memory manager it selects, resolving against the core policy
-// registry so third-party registered policies are accepted too. Empty
-// selects Mosaic. Unknown names return an error wrapping
+// table, so fifo-mmu is accepted too. Empty selects Mosaic. Unknown names return an error wrapping
 // core.ErrUnknownPolicy.
 func ParsePolicy(name string) (core.Policy, error) {
 	name = strings.TrimSpace(name)

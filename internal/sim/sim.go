@@ -263,13 +263,27 @@ func (r Results) TotalIPC() float64 {
 // this configuration and these options, without building a simulator.
 // It lets services key result caches before deciding whether to run:
 // equal digests (plus equal workload and policy) mean the simulation
-// would produce byte-identical results.
+// would produce byte-identical results. A policy id outside the core
+// table has no run to name (New rejects it), so its digest is "".
 func Digest(cfg config.Config, opt Options) string {
-	mopt := core.OptionsFor(opt.Policy, cfg)
+	mopt, err := managerOptions(cfg, opt)
+	if err != nil {
+		return ""
+	}
+	return configDigest(cfg, opt, mopt)
+}
+
+// managerOptions resolves the manager options a run uses: the policy's
+// table row under cfg, then opt.MutateManager's ablation.
+func managerOptions(cfg config.Config, opt Options) (core.Options, error) {
+	mopt, err := core.ResolveOptions(opt.Policy, cfg)
+	if err != nil {
+		return core.Options{}, err
+	}
 	if opt.MutateManager != nil {
 		opt.MutateManager(&mopt)
 	}
-	return configDigest(cfg, opt, mopt)
+	return mopt, nil
 }
 
 // configDigest hashes everything that determines a run's outcome: the
@@ -375,15 +389,12 @@ func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, erro
 	s.bus = iobus.New(cfg, s.q)
 	s.mem = dram.New(cfg, s.q)
 
-	mopt, err := core.ResolveOptions(opt.Policy, cfg)
+	mopt, err := managerOptions(cfg, opt)
 	if err != nil {
-		// Unregistered policy ids are a caller bug, not a config to run:
-		// surface the typed core.ErrUnknownPolicy instead of silently
+		// Policy ids outside the table are a caller bug, not a config to
+		// run: surface the typed core.ErrUnknownPolicy instead of
 		// simulating baseline-like options.
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if opt.MutateManager != nil {
-		opt.MutateManager(&mopt)
 	}
 	s.digest = configDigest(cfg, opt, mopt)
 	mgr, err := core.NewSystem(cfg, mopt, s.q, s.bus, s.mem)

@@ -14,6 +14,10 @@
 //     contribution);
 //   - IdealTLB — an upper bound where every translation hits.
 //
+// A fifth row of the same policy table, fifo-mmu, is Mosaic whose bounded
+// page pool evicts in first-fault order instead of least recently used
+// (selected by name through ParsePolicy).
+//
 // # Quick start
 //
 //	cfg := mosaic.EvalConfig()
@@ -69,53 +73,25 @@ const (
 	IdealTLB = core.IdealTLB
 )
 
-// Policy registry: a manager is an Options set (allocator, coalescing,
-// CAC variant, fault granularity, translation bypass) plus one behavior
-// seam, the residency order a bounded page pool evicts by (LRU unless a
-// policy supplies its own), resolved through a name-keyed registry.
-// Third-party policies register with
-// RegisterPolicy and then work everywhere a built-in does — mosaic-sim
-// -policy, RunRequest.Policy, sweeps, campaigns — with their display name
-// feeding the ConfigDigest exactly like the built-in names do.
-type (
-	// PolicySpec describes one registered policy: display name (feeds
-	// RunRecord.Policy and the ConfigDigest), wire name (flags/API),
-	// option derivation, and an optional residency order.
-	PolicySpec = core.PolicySpec
-	// ResidencyPolicy orders resident pages for victim selection under
-	// a bounded GPU page pool.
-	ResidencyPolicy = core.ResidencyPolicy
-	// PageEntry is one paged unit as seen by a ResidencyPolicy.
-	PageEntry = core.PageEntry
-	// ResidencyQueue is the allocation-free intrusive list residency
-	// policies order victims with.
-	ResidencyQueue = core.ResidencyQueue
-	// NamedPolicy pairs a resolved Policy with the wire name it was
-	// requested under (the ParsePolicyList result element).
-	NamedPolicy = harness.NamedPolicy
-)
+// NamedPolicy pairs a resolved Policy with the wire name it was
+// requested under (the ParsePolicyList result element).
+type NamedPolicy = harness.NamedPolicy
 
 // ErrUnknownPolicy is wrapped by every policy-name resolution failure
-// (ParsePolicy, ParsePolicyList, NewSimulator with an unregistered id);
-// test with errors.Is.
+// (ParsePolicy, ParsePolicyList, NewSimulator with an id outside the
+// policy table); test with errors.Is.
 var ErrUnknownPolicy = core.ErrUnknownPolicy
 
-// RegisterPolicy adds a policy to the registry and returns its id; it
-// fails on duplicate names. Register from an init function (or a
-// package-level variable) so the policy exists before flags parse.
-func RegisterPolicy(spec PolicySpec) (Policy, error) { return core.RegisterPolicy(spec) }
-
-// MustRegisterPolicy is RegisterPolicy, panicking on error.
-func MustRegisterPolicy(spec PolicySpec) Policy { return core.MustRegisterPolicy(spec) }
-
-// ParsePolicy resolves one wire policy name against the registry.
+// ParsePolicy resolves one wire policy name against the policy table:
+// the four paper managers plus "fifo-mmu", Mosaic evicting in
+// first-fault order under a bounded page pool.
 func ParsePolicy(name string) (Policy, error) { return core.ParsePolicy(name) }
 
 // ParsePolicyList parses a comma-separated -policy flag value ("all" =
-// the four paper managers) against the registry.
+// the four paper managers) against the policy table.
 func ParsePolicyList(s string) ([]NamedPolicy, error) { return harness.ParsePolicies(s) }
 
-// PolicyNames returns the registered wire names in registration order.
+// PolicyNames returns the wire names in policy-table order.
 func PolicyNames() []string { return core.PolicyNames() }
 
 // ManagerOptions exposes the full memory-manager option set, including
