@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -397,8 +398,7 @@ func TestCoCoAFreedPageReusedBySameApp(t *testing.T) {
 
 func TestPreFragment(t *testing.T) {
 	p := newPool(t, 100)
-	rng := rand.New(rand.NewSource(1))
-	p.PreFragment(rng, 0.5, 0.25)
+	p.PreFragment(1, 0.5, 0.25)
 	if got := p.FragmentedFrames(); got != 50 {
 		t.Errorf("fragmented frames = %d, want 50", got)
 	}
@@ -413,7 +413,113 @@ func TestPreFragment(t *testing.T) {
 	}
 }
 
-// TestPermIntoMatchesPerm: the reused-buffer shuffle PreFragment draws
+// permInto fills buf with the permutation rng.Perm(len(buf)) would
+// return, by the same inside-out shuffle and the same draws, without
+// allocating a new slice. It is how PreFragment drew slot orders before
+// the draw stream, and refPreFragment's reference for it.
+func permInto(rng *rand.Rand, buf []int) {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+}
+
+// refPreFragment is PreFragment as it was before the draw stream: every
+// draw through rng, one set per planted page.
+func refPreFragment(p *Pool, rng *rand.Rand, index, occupancy float64) {
+	nFrag := int(index * float64(len(p.frames)))
+	perm := rng.Perm(len(p.frames))
+	pagesPer := int(occupancy * vmem.BasePagesPerLarge)
+	if pagesPer < 1 && occupancy > 0 {
+		pagesPer = 1
+	}
+	slots := make([]int, vmem.BasePagesPerLarge)
+	for _, fi := range perm[:nFrag] {
+		f := &p.frames[fi]
+		f.Owner = FragOwner
+		f.PreFrag = true
+		permInto(rng, slots)
+		for _, s := range slots[:pagesPer] {
+			f.set(s)
+		}
+	}
+}
+
+// TestPreFragmentMatchesPermReference: PreFragment plants exactly the
+// frames the rand.Rand reference does (owner, flag, bitmap, count) for
+// fragmented fractions 0.3 and 1 and occupancies 0, 1/512, 0.9 and 1,
+// and its not-full set holds exactly the frames with a free slot.
+func TestPreFragmentMatchesPermReference(t *testing.T) {
+	for _, seed := range []int64{1, 0x5f5f, 1 ^ 0x5f5f} {
+		for _, index := range []float64{0.3, 1.0} {
+			for _, occupancy := range []float64{0, 1.0 / 512, 0.9, 1} {
+				got, want := newPool(t, 97), newPool(t, 97)
+				got.PreFragment(seed, index, occupancy)
+				refPreFragment(want, rand.New(rand.NewSource(seed)), index, occupancy)
+				for fi := range want.frames {
+					if *got.Frame(fi) != *want.Frame(fi) {
+						t.Fatalf("seed %d index %g occupancy %g: frame %d = %+v, reference %+v",
+							seed, index, occupancy, fi, *got.Frame(fi), *want.Frame(fi))
+					}
+					if full := got.Frame(fi).Count == vmem.BasePagesPerLarge; got.notFull.has(fi) == full {
+						t.Fatalf("seed %d index %g occupancy %g: frame %d with %d pages in not-full set: %v",
+							seed, index, occupancy, fi, got.Frame(fi).Count, !full)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDrawStreamMatchesRand: the draw stream continues a math/rand
+// source draw for draw. Over several seeds, including the extremes,
+// more than a million Int31n draws each, with divisors that are powers
+// of two, that take the reciprocal table, and 1<<30+1, which rejects
+// about half of its draws, then Uint64, then a million draws more
+// through permInto, all match rand.New(rand.NewSource(seed)) consumed
+// the same way.
+func TestDrawStreamMatchesRand(t *testing.T) {
+	ns := []int32{1, 2, 3, 7, 64, 100, 333, 460, 511, 512, 513, 1000, 1 << 20, 1<<30 + 1, 1 << 30, 1<<31 - 1}
+	for _, seed := range []int64{0, 1, -1, 0x5f5f, 1 << 62, math.MinInt64} {
+		want := rand.New(rand.NewSource(seed))
+		src := rand.New(rand.NewSource(seed))
+		for i := 0; i < 100; i++ { // the stream may start anywhere
+			want.Uint64()
+			src.Uint64()
+		}
+		got := newDrawStream(src)
+		for i := 0; i < 1<<20; i++ {
+			n := ns[i%len(ns)]
+			if i%4096 >= 2048 {
+				n = int32(1 + i%vmem.BasePagesPerLarge) // every divisor PreFragment uses
+			}
+			if a, b := got.int31n(n), want.Int31n(n); a != b {
+				t.Fatalf("seed %d draw %d: int31n(%d) = %d, rand %d", seed, i, n, a, b)
+			}
+		}
+		for i := 0; i < 2*rngLen; i++ {
+			if a, b := got.uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d: uint64 %d = %d, rand %d", seed, i, a, b)
+			}
+		}
+		var buf [vmem.BasePagesPerLarge]uint16
+		for round := 0; round < 2048; round++ {
+			n := vmem.BasePagesPerLarge - round%3
+			got.permInto(buf[:n])
+			for i, v := range want.Perm(n) {
+				if int(buf[i]) != v {
+					t.Fatalf("seed %d round %d: Perm(%d)[%d] = %d, rand %d", seed, round, n, i, buf[i], v)
+				}
+			}
+		}
+		if a, b := got.uint64(), want.Uint64(); a != b {
+			t.Fatalf("seed %d: uint64 after the permutations = %d, rand %d", seed, a, b)
+		}
+	}
+}
+
+// TestPermIntoMatchesPerm: the reference shuffle refPreFragment draws
 // slot orders with yields rand.Perm's permutation and leaves the source
 // at the same position, for several seeds and sizes, and with a buffer
 // holding an earlier permutation.

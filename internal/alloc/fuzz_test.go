@@ -7,12 +7,21 @@ import (
 	"repro/internal/vmem"
 )
 
+// fuzzChannels is the channel count of the fuzzed pool's index, and
+// fuzzChannel its stand-in for the DRAM channel hash.
+const fuzzChannels = 4
+
+func fuzzChannel(pa vmem.PhysAddr) int { return int(pa.BaseFrameNumber() * 0x9E3779B97F4A7C15 >> 62) }
+
 // FuzzCoCoAOps drives CoCoA with an arbitrary operation tape from two
 // applications and checks that pool accounting, free-frame-list
 // invariants, and the soft guarantee hold throughout (no scavenge path is
 // exercised here). Ops 4 and 5 deliberately misuse the free path — double
 // frees and bogus frame returns — which must surface as typed errors and
-// leave the free lists untouched.
+// leave the free lists untouched. After every op a FindFree for the op's
+// application, in the channel its high bits name, may drop frames from
+// the channel sets; the pool's frame sets must still cover every free
+// slot.
 func FuzzCoCoAOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2})
 	f.Add([]byte{0, 0, 0, 0, 3, 3, 3, 3})
@@ -21,12 +30,22 @@ func FuzzCoCoAOps(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 4, 0, 2, 4})
 	f.Add([]byte{0, 1, 5, 2, 5, 2, 5, 4})
 	f.Add([]byte{3, 3, 0, 4, 5, 0, 2, 2, 4, 5})
+	// Fill a frame with one application's pages, searching every
+	// channel as it goes (each set drops the frame once it is full),
+	// then free the last page: its channel's set must take the frame
+	// back.
+	fill := make([]byte, 0, vmem.BasePagesPerLarge+1)
+	for i := 0; i < vmem.BasePagesPerLarge; i++ {
+		fill = append(fill, byte(6*(i%fuzzChannels)))
+	}
+	f.Add(append(fill, 2))
 
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		pool, err := NewPool(0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pool.IndexChannels(fuzzChannels, fuzzChannel)
 		c := NewCoCoA(pool)
 		live := map[vmem.ASID][]vmem.PhysAddr{}
 		freed := map[vmem.ASID][]vmem.PhysAddr{}
@@ -62,6 +81,25 @@ func FuzzCoCoAOps(f *testing.F) {
 			}
 			if freeListed > emptyFrames {
 				t.Fatalf("free list claims %d empty frames, pool has %d", freeListed, emptyFrames)
+			}
+		}
+
+		// checkFrameSets: the not-full set holds exactly the frames with
+		// a free slot, and no channel set misses a frame with a free slot
+		// in that channel.
+		checkFrameSets := func() {
+			t.Helper()
+			for fi := 0; fi < pool.NumFrames(); fi++ {
+				f := pool.Frame(fi)
+				if hasFree := f.Count < vmem.BasePagesPerLarge; pool.notFull.has(fi) != hasFree {
+					t.Fatalf("frame %d with %d pages: in not-full set %v", fi, f.Count, !hasFree)
+				}
+				for slot := f.NextFree(0); slot >= 0; slot = f.NextFree(slot + 1) {
+					ch := fuzzChannel(pool.Addr(PageRef{Frame: fi, Slot: slot}))
+					if !pool.mayHold[ch].has(fi) {
+						t.Fatalf("frame %d has free slot %d in channel %d but is not in that channel's set", fi, slot, ch)
+					}
+				}
 			}
 		}
 
@@ -136,6 +174,8 @@ func FuzzCoCoAOps(f *testing.F) {
 				}
 			}
 			checkFreeFrames()
+			pool.FindFree(int(op/6)%fuzzChannels, nil, func(_ int, f *Frame) bool { return f.Owner == asid })
+			checkFrameSets()
 		}
 
 		var liveCount uint64

@@ -185,7 +185,7 @@ func (s *System) endCompaction(last uint64) {
 // findFragDst locates a free slot in another fragmented frame, preferring
 // the source page's DRAM channel.
 func (s *System) findFragDst(excludeFrame int, src vmem.PhysAddr) (alloc.PageRef, bool) {
-	return s.findFreeSlot(src, nil, func(fi int, f *alloc.Frame) bool {
+	return s.pool.FindFree(s.mem.ChannelOf(src), nil, func(fi int, f *alloc.Frame) bool {
 		return fi != excludeFrame && f.PreFrag
 	})
 }
@@ -196,39 +196,7 @@ func (s *System) findFragDst(excludeFrame int, src vmem.PhysAddr) (alloc.PageRef
 // source page (so CAC-BC can bulk-copy). taken, one set per frame,
 // excludes slots already promised to earlier pages of the same compaction.
 func (s *System) findCompactionDst(asid vmem.ASID, excludeFrame int, src vmem.PhysAddr, taken []alloc.SlotSet) (alloc.PageRef, bool) {
-	return s.findFreeSlot(src, taken, func(fi int, f *alloc.Frame) bool {
+	return s.pool.FindFree(s.mem.ChannelOf(src), taken, func(fi int, f *alloc.Frame) bool {
 		return fi != excludeFrame && !s.coalesced[fi] && f.Owner == asid
 	})
-}
-
-// findFreeSlot returns the first free slot, frames in index order and
-// slots ascending, of the frames eligible accepts that lies in src's DRAM
-// channel, else the first free slot of any of them. Slots in taken (nil,
-// or one set per frame) do not count as free. Full frames are passed
-// over without a look at their slots, and free slots are found a word at
-// a time.
-func (s *System) findFreeSlot(src vmem.PhysAddr, taken []alloc.SlotSet, eligible func(fi int, f *alloc.Frame) bool) (alloc.PageRef, bool) {
-	srcChan := s.mem.ChannelOf(src)
-	var fallback alloc.PageRef
-	haveFallback := false
-	for fi := 0; fi < s.pool.NumFrames(); fi++ {
-		f := s.pool.Frame(fi)
-		if f.Count == vmem.BasePagesPerLarge || !eligible(fi, f) {
-			continue
-		}
-		var except *alloc.SlotSet
-		if taken != nil {
-			except = &taken[fi]
-		}
-		for slot := f.NextFreeExcept(0, except); slot >= 0; slot = f.NextFreeExcept(slot+1, except) {
-			ref := alloc.PageRef{Frame: fi, Slot: slot}
-			if s.mem.ChannelOf(s.pool.Addr(ref)) == srcChan {
-				return ref, true
-			}
-			if !haveFallback {
-				fallback, haveFallback = ref, true
-			}
-		}
-	}
-	return fallback, haveFallback
 }

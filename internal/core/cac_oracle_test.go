@@ -84,12 +84,13 @@ var oracleOwners = []vmem.ASID{1, 2, alloc.FragOwner}
 // randomOraclePool replaces s's pool with n frames in random states:
 // empty, full, sparse, dense (the §6.4 0.9 occupancy) and anything in
 // between, each with a random owner, pre-fragmented flag and coalesced
-// flag. Pre-fragmented frames are built directly, as PreFragment would
-// leave them. A tight pool holds only full frames and frames with a few
-// free slots, so searches often find none in the source's channel.
+// flag. The pool is built as NewSystem builds it, channel sets included.
+// Pre-fragmented frames are built directly, as PreFragment would leave
+// them. A tight pool holds only full frames and frames with a few free
+// slots, so searches often find none in the source's channel.
 func randomOraclePool(t *testing.T, s *System, rng *rand.Rand, n int, tight bool) {
 	t.Helper()
-	pool, err := alloc.NewPool(0, n)
+	pool, err := newPool(n, s.cfg.MemoryPartitons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +153,30 @@ func randomOracleStep(t *testing.T, s *System, rng *rand.Rand) {
 	}
 }
 
+// freeInChannel frees one allocated slot in DRAM channel ch of a frame,
+// picked at random among those eligible accepts, and reports whether
+// there was one. After a search that found no free slot in ch, the freed
+// slot is what the next search must find.
+func freeInChannel(t *testing.T, s *System, rng *rand.Rand, ch int, eligible func(fi int, f *alloc.Frame) bool) bool {
+	t.Helper()
+	for _, fi := range rng.Perm(s.pool.NumFrames()) {
+		f := s.pool.Frame(fi)
+		if !eligible(fi, f) {
+			continue
+		}
+		for slot := f.NextAllocated(0); slot >= 0; slot = f.NextAllocated(slot + 1) {
+			ref := alloc.PageRef{Frame: fi, Slot: slot}
+			if s.mem.ChannelOf(s.pool.Addr(ref)) == ch {
+				if err := s.pool.FreeSlot(ref); err != nil {
+					t.Fatal(err)
+				}
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // oracleSources returns, for every DRAM channel, a pool address in it,
 // preferring one inside frame (where the migrated page really lives).
 func oracleSources(s *System, rng *rand.Rand, frame int) []vmem.PhysAddr {
@@ -185,18 +210,24 @@ func oracleSources(s *System, rng *rand.Rand, frame int) []vmem.PhysAddr {
 // frames: full, empty, excluded and coalesced frames, random owners and
 // pre-fragmented flags, random promised-slot sets, source addresses in
 // every DRAM channel, and random allocations and frees between queries.
+// A search that finds no free slot in the source's channel drops frames
+// from that channel's set; a slot freed in one of them right after must
+// be found by the next search.
 func TestCACFreeSlotSearchMatchesSlotScan(t *testing.T) {
 	s := newRig(t, Mosaic, nil).sys
 	rng := rand.New(rand.NewSource(22))
-	queries, fallbacks, misses := 0, 0, 0
-	tally := func(ref alloc.PageRef, ok bool, ch int) {
+	queries, fallbacks, misses, refrees := 0, 0, 0, 0
+	tally := func(ref alloc.PageRef, ok bool, ch int) bool {
 		queries++
 		switch {
 		case !ok:
 			misses++
 		case s.mem.ChannelOf(s.pool.Addr(ref)) != ch:
 			fallbacks++
+		default:
+			return true
 		}
+		return false
 	}
 	for trial := 0; trial < 120; trial++ {
 		n := 1 + rng.Intn(64)
@@ -226,30 +257,47 @@ func TestCACFreeSlotSearchMatchesSlotScan(t *testing.T) {
 				}
 			}
 			srcFrame := exclude % n
-			for ch, src := range oracleSources(s, rng, srcFrame) {
+			fragDst := func(ch int, src vmem.PhysAddr) bool {
 				got, gotOK := s.findFragDst(exclude, src)
 				want, wantOK := refFragDst(s, exclude, src)
-				tally(want, wantOK, ch)
 				if got != want || gotOK != wantOK {
 					t.Fatalf("trial %d round %d channel %d: findFragDst(%d, %v) = %+v, %v; reference %+v, %v",
 						trial, round, ch, exclude, src, got, gotOK, want, wantOK)
 				}
+				return tally(want, wantOK, ch)
+			}
+			compDst := func(ch int, asid vmem.ASID, src vmem.PhysAddr) bool {
+				got, gotOK := compactionDst(s, asid, exclude, src, taken)
+				want, wantOK := refCompactionDst(s, asid, exclude, src, taken)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("trial %d round %d channel %d: findCompactionDst(asid %d, %d, %v) = %+v, %v; reference %+v, %v",
+						trial, round, ch, asid, exclude, src, got, gotOK, want, wantOK)
+				}
+				return tally(want, wantOK, ch)
+			}
+			for ch, src := range oracleSources(s, rng, srcFrame) {
+				if !fragDst(ch, src) && freeInChannel(t, s, rng, ch, func(fi int, f *alloc.Frame) bool {
+					return fi != exclude && f.PreFrag && f.Count > 1
+				}) {
+					refrees++
+					fragDst(ch, src)
+				}
 				for _, asid := range oracleOwners {
-					got, gotOK := compactionDst(s, asid, exclude, src, taken)
-					want, wantOK := refCompactionDst(s, asid, exclude, src, taken)
-					tally(want, wantOK, ch)
-					if got != want || gotOK != wantOK {
-						t.Fatalf("trial %d round %d channel %d: findCompactionDst(asid %d, %d, %v) = %+v, %v; reference %+v, %v",
-							trial, round, ch, asid, exclude, src, got, gotOK, want, wantOK)
+					if !compDst(ch, asid, src) && freeInChannel(t, s, rng, ch, func(fi int, f *alloc.Frame) bool {
+						return fi != exclude && !s.coalesced[fi] && f.Owner == asid && f.Count > 1
+					}) {
+						refrees++
+						compDst(ch, asid, src)
 					}
 				}
 			}
 		}
 	}
 	// Every outcome must be exercised: same-channel hits, cross-channel
-	// fallbacks and no slot at all.
-	if queries < 20000 || fallbacks < 100 || misses < 100 {
-		t.Fatalf("weak coverage: %d queries, %d cross-channel fallbacks, %d misses", queries, fallbacks, misses)
+	// fallbacks, no slot at all, and frees after a failed search.
+	if queries < 20000 || fallbacks < 100 || misses < 100 || refrees < 100 {
+		t.Fatalf("weak coverage: %d queries, %d cross-channel fallbacks, %d misses, %d frees after a failed search",
+			queries, fallbacks, misses, refrees)
 	}
-	t.Logf("%d queries, %d cross-channel fallbacks, %d misses", queries, fallbacks, misses)
+	t.Logf("%d queries, %d cross-channel fallbacks, %d misses, %d frees after a failed search", queries, fallbacks, misses, refrees)
 }

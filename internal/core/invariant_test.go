@@ -148,10 +148,9 @@ func TestCompactFragmentedRecoversFrames(t *testing.T) {
 		c.TotalDRAMBytes = 64 << 20
 		c.IOBusEnabled = false
 	})
-	rng := rand.New(rand.NewSource(7))
 	// Fragment everything at 25% occupancy: no free frames remain, but
 	// compaction can consolidate four frames into one.
-	r.sys.Pool().PreFragment(rng, 1.0, 0.25)
+	r.sys.Pool().PreFragment(7, 1.0, 0.25)
 	r.sys.RebuildFreeLists()
 	if err := r.sys.RegisterApp(1); err != nil {
 		t.Fatal(err)
@@ -179,11 +178,10 @@ func TestCompactFragmentedRespectsCapacity(t *testing.T) {
 		c.TotalDRAMBytes = 64 << 20
 		c.IOBusEnabled = false
 	})
-	rng := rand.New(rand.NewSource(9))
 	// 90% occupancy: consolidating any frame's pages into the others'
 	// free slots is impossible frame-for-frame... but capacity across
 	// many frames may still allow one recovery; at 100% it cannot.
-	r.sys.Pool().PreFragment(rng, 1.0, 1.0)
+	r.sys.Pool().PreFragment(9, 1.0, 1.0)
 	r.sys.RebuildFreeLists()
 	r.sys.RegisterApp(1)
 	err := r.sys.AllocVirtual(0, 1, 0, 2<<20)
@@ -201,8 +199,7 @@ func TestBulkCopyFragmentedCompaction(t *testing.T) {
 		c.IOBusEnabled = false
 		o.CAC = CACBulkCopy
 	})
-	rng := rand.New(rand.NewSource(11))
-	r.sys.Pool().PreFragment(rng, 1.0, 0.25)
+	r.sys.Pool().PreFragment(11, 1.0, 0.25)
 	r.sys.RebuildFreeLists()
 	r.sys.RegisterApp(1)
 	if err := r.sys.AllocVirtual(0, 1, 0, 2<<20); err != nil {
@@ -219,8 +216,7 @@ func TestIdealCACFragmentedCompactionIsFree(t *testing.T) {
 		c.IOBusEnabled = false
 		o.CAC = CACIdeal
 	})
-	rng := rand.New(rand.NewSource(13))
-	r.sys.Pool().PreFragment(rng, 1.0, 0.25)
+	r.sys.Pool().PreFragment(13, 1.0, 0.25)
 	r.sys.RebuildFreeLists()
 	r.sys.RegisterApp(1)
 	if err := r.sys.AllocVirtual(0, 1, 0, 2<<20); err != nil {

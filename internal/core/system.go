@@ -164,7 +164,7 @@ func NewSystem(cfg config.Config, opt Options, q *event.Queue, bus *iobus.Bus, m
 	if frames < 1 {
 		return nil, errors.New("core: DRAM too small for one large frame")
 	}
-	pool, err := alloc.NewPool(0, frames)
+	pool, err := newPool(frames, cfg.MemoryPartitons)
 	if err != nil {
 		return nil, err
 	}
@@ -193,6 +193,18 @@ func NewSystem(cfg config.Config, opt Options, q *event.Queue, bus *iobus.Bus, m
 		s.pager = newPager(s)
 	}
 	return s, nil
+}
+
+// newPool builds a pool of n large frames at address 0, indexed by the
+// DRAM channels of a memory with the given number of them, for CAC's
+// free-slot search (alloc.Pool.FindFree).
+func newPool(n, channels int) (*alloc.Pool, error) {
+	pool, err := alloc.NewPool(0, n)
+	if err != nil {
+		return nil, err
+	}
+	pool.IndexChannels(channels, func(pa vmem.PhysAddr) int { return dram.Channel(pa, channels) })
+	return pool, nil
 }
 
 // Clone returns a deep copy of the manager for a forked simulator, wired

@@ -187,8 +187,12 @@ func mixPage(page uint64) uint64 {
 // lives in one channel — this is what lets CAC restrict compaction
 // migrations to intra-channel moves (paper §4.4) and lets RowClone-style
 // bulk copy operate on whole pages.
-func (d *DRAM) ChannelOf(addr vmem.PhysAddr) int {
-	return int(mixPage(addr.BaseFrameNumber()) % uint64(len(d.channels)))
+func (d *DRAM) ChannelOf(addr vmem.PhysAddr) int { return Channel(addr, len(d.channels)) }
+
+// Channel is ChannelOf for a DRAM of n channels. It depends on nothing
+// else, so holders of the mapping need no reference to a DRAM.
+func Channel(addr vmem.PhysAddr, n int) int {
+	return int(mixPage(addr.BaseFrameNumber()) % uint64(n))
 }
 
 func (d *DRAM) decompose(addr vmem.PhysAddr) (chanIdx, bankIdx int, row uint64) {

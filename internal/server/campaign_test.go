@@ -532,3 +532,57 @@ func TestCampaignDigestsMatchSweep(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCampaignPlan decodes arbitrary bytes into a CampaignRequest as
+// POST /v1/campaigns does (unknown fields rejected, then the cell
+// bound) and plans the grid. PlanCampaign must never panic. It returns
+// an error and no cells, or len(Policies) × max(len(Values), 1) cells in
+// grid order, each of which Resolve maps back to the cell's key.
+func FuzzCampaignPlan(f *testing.F) {
+	for _, seed := range []string{
+		`{"Base":{"Apps":["HS"]},"Policies":["gpummu","mosaic"]}`,
+		`{"Base":{"Apps":["NW","HS"],"Scale":96},"Policies":["mosaic"],"Dim":"l1base","Values":[16,64]}`,
+		`{"Base":{"Apps":["HS"],"FragIndex":1,"FragOccupancy":0.9},"Policies":["fifo-mmu","ideal"],"Dim":"oversub","Values":[0,150]}`,
+		`{"Base":{"Apps":["HS"]},"Policies":["gpummu"],"Dim":"oversub","Values":[-150]}`,
+		`{"Base":{"Apps":["HS"]},"Policies":["gpummu"],"Values":[1]}`,
+		`{"Base":{"Apps":["HS"]},"Policies":["gpummu"],"Dim":"pwc"}`,
+		`{"Base":{"Apps":["HS"],"Policy":"mosaic"},"Policies":["gpummu"]}`,
+		`{"Base":{"Apps":["HS"],"Dim":"l1base"},"Policies":["gpummu"]}`,
+		`{"Base":{"Apps":["HS"]},"Policies":["nope"]}`,
+		`{"Base":{"Apps":["HS"]},"Policies":[]}`,
+		`{"Base":{},"Policies":["gpummu"]}`,
+		`{"Base":{"Apps":["HS"]},"Policies":["gpummu"],"Extra":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req CampaignRequest
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) != nil || checkCampaignBound(req) != nil {
+			return
+		}
+		cells, err := PlanCampaign(config.FastTest, req)
+		if err != nil {
+			if cells != nil {
+				t.Fatalf("PlanCampaign returned %d cells with error %v", len(cells), err)
+			}
+			return
+		}
+		if want := len(req.Policies) * max(len(req.Values), 1); len(cells) != want {
+			t.Fatalf("planned %d cells, grid has %d", len(cells), want)
+		}
+		for i, c := range cells {
+			if c.Index != i {
+				t.Fatalf("cell %d has index %d", i, c.Index)
+			}
+			p, err := Resolve(config.FastTest, c.Req)
+			if err != nil {
+				t.Fatalf("cell %d request %+v no longer resolves: %v", i, c.Req, err)
+			}
+			if p.Key != c.Key {
+				t.Fatalf("cell %d keyed %+v, its request resolves to %+v", i, c.Key, p.Key)
+			}
+		}
+	})
+}

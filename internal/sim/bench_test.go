@@ -60,3 +60,33 @@ func BenchmarkSimCoreMemAccess(b *testing.B) {
 		drain(s)
 	}
 }
+
+// BenchmarkSimCoreNewFragmented measures the set-up of one simulator on
+// perfbench's oversub cell: SWP-S,SWP-D on the Eval configuration at
+// 1.5x oversubscription, memory pre-fragmented to 90 % in every frame,
+// seed 1. Under Mosaic, sim.New also compacts the fragmented frames
+// before the applications allocate.
+func BenchmarkSimCoreNewFragmented(b *testing.B) {
+	var apps []workload.Spec
+	for _, name := range []string{"SWP-S", "SWP-D"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		apps = append(apps, spec)
+	}
+	wl := workload.Workload{Name: "SWP-S,SWP-D", Apps: apps}
+	cfg := config.Eval()
+	cfg.MaxResidentPages = workload.ResidentBudget(cfg, wl, 1.5)
+	for _, policy := range []core.Policy{core.GPUMMU4K, core.Mosaic} {
+		b.Run(policy.String(), func(b *testing.B) {
+			opt := Options{Policy: policy, Seed: 1, FragIndex: 1.0, FragOccupancy: 0.9, DeallocFraction: 0.5}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg, wl, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

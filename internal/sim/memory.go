@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/rand"
-
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/event"
@@ -10,8 +8,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vmem"
 )
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // The per-lane memory path (translate, ensure residency, data access) is
 // the simulator's hottest code: it runs once per lane per memory

@@ -408,8 +408,7 @@ func New(cfg config.Config, wl workload.Workload, opt Options) (*Simulator, erro
 	}
 
 	if opt.FragIndex > 0 {
-		rng := newRand(opt.Seed ^ 0x5f5f)
-		mgr.Pool().PreFragment(rng, opt.FragIndex, opt.FragOccupancy)
+		mgr.Pool().PreFragment(opt.Seed^0x5f5f, opt.FragIndex, opt.FragOccupancy)
 		mgr.RebuildFreeLists()
 	}
 
